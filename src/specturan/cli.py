@@ -40,21 +40,7 @@ from .subgraph import (
     find_kr_plus,
     joint_size,
 )
-from .theorems import (
-    TheoremId,
-    TriState,
-    check_book_remark,
-    check_edge_implies_spectral,
-    check_fact_lekd,
-    check_fact_lenslmm,
-    check_fact_thv4,
-    check_fact_tsize,
-    check_spectral_turan,
-    check_stability,
-    check_theorem1,
-    check_theorem2,
-    check_theorem3,
-)
+from .theorems import CHECKS, DEFAULT_B, TheoremId, TriState, run_check
 
 DEFAULT_SEED = 0x5EED5EED  # fixed published constant; see README
 
@@ -151,7 +137,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--n", type=int, help="order for graph-free checks (tsize)")
     c.add_argument("--r", type=int, required=True)
     c.add_argument("--c", type=float, default=None)
-    c.add_argument("--b", type=float, default=1e-6)
+    c.add_argument("--b", type=float, default=DEFAULT_B)
     c.add_argument("--tol", type=float, default=None)
     c.add_argument("--budget", type=lambda s: int(float(s)), default=None)
     c.add_argument("--format", choices=["json", "csv"], default="json")
@@ -278,41 +264,17 @@ def _cmd_check(args) -> int:
         "SPECTURAN_BUDGET", DEFAULT_BUDGET
     )
     tid = TheoremId(args.theorem)
-    if tid is TheoremId.FACT_TSIZE:
+    if CHECKS[tid].graph_free:
         if args.n is None and args.graph is None:
-            raise _UsageError("tsize needs --n (or a graph file for its order)")
-        n = args.n if args.n is not None else _load(args.graph).n
-        verdict = check_fact_tsize(n, args.r)
+            raise _UsageError(f"{tid.value} needs --n (or a graph file for its order)")
+        g = args.n if args.n is not None else _load(args.graph).n
     else:
         if args.graph is None:
             raise _UsageError(f"theorem {tid.value} needs a graph file")
         g = _load(args.graph)
-        if tid is TheoremId.FACT_STT:
-            verdict = check_spectral_turan(g, args.r, tol)
-        elif tid is TheoremId.T1:
-            verdict = check_theorem1(g, args.r, tol)
-        elif tid is TheoremId.T2:
-            if args.c is None:
-                raise _UsageError("theorem t2 needs --c")
-            verdict = check_theorem2(g, args.r, args.c, tol, budget)
-        elif tid is TheoremId.T3:
-            verdict = check_theorem3(g, args.r, tol, budget, c_override=args.c)
-        elif tid in (TheoremId.T1_2, TheoremId.T2_2, TheoremId.T3_2):
-            verdict = check_stability(g, args.r, args.b, tid, tol, budget, c=args.c)
-        elif tid is TheoremId.FACT_LENSLMM:
-            verdict = check_fact_lenslmm(g, args.r, tol)
-        elif tid is TheoremId.FACT_LEKD:
-            verdict = check_fact_lekd(g, args.r)
-        elif tid is TheoremId.FACT_THV4:
-            if args.c is None:
-                raise _UsageError("fact thv4 needs --c")
-            verdict = check_fact_thv4(g, args.r, args.c, budget)
-        elif tid is TheoremId.EDGE_IMPLIES_SPECTRAL:
-            verdict = check_edge_implies_spectral(g, args.r, tol)
-        elif tid is TheoremId.BOOK_REMARK:
-            verdict = check_book_remark(g, args.r, tol)
-        else:  # pragma: no cover
-            raise _UsageError(f"unhandled theorem {tid}")
+        if CHECKS[tid].needs_c and args.c is None:
+            raise _UsageError(f"{tid.label} needs --c")
+    verdict = run_check(tid, g, args.r, tol=tol, budget=budget, c=args.c, b=args.b)
     _emit(verdict.to_json_dict(), args.format)
     if verdict.is_counterexample:
         return EXIT_COUNTEREXAMPLE

@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -47,20 +47,13 @@ from .spectral import (
 )
 from .subgraph import SearchStatus, book_size, find_complete_multipartite, joint_size
 from .theorems import (
+    CHECKS,
+    DEFAULT_B,
+    ExactHook,
     TheoremId,
     TheoremVerdict,
     TriState,
-    check_book_remark,
-    check_edge_implies_spectral,
-    check_fact_lekd,
-    check_fact_lenslmm,
-    check_fact_thv4,
-    check_fact_tsize,
-    check_spectral_turan,
-    check_stability,
-    check_theorem1,
-    check_theorem2,
-    check_theorem3,
+    run_check,
     turan_edge_count,
 )
 
@@ -86,8 +79,7 @@ class ExperimentConfig:
     sample_cap: int = 0  # 0 = full enumeration
     families: tuple[str, ...] = DEFAULT_FAMILIES
     c: float = 0.0  # 0 = per-check default
-    b: float = 1e-6
-    threads: int = 1
+    b: float = DEFAULT_B
     stats: int = 1  # 0 skips distribution summaries in exhaustive mode
     output_path: str = ""
 
@@ -298,21 +290,6 @@ def _batched_mu(
     return value, resid, conv
 
 
-def _exact_lenslmm_conclusion(g: Graph, r: int, kr: int) -> bool:
-    """Exact decision of k_r >= (mu/n - 1 + 1/r) * r(r-1)/(r+1) * (n/r)^{r+1}
-    by comparing mu(G) against the rational solution of the equality."""
-    import sympy
-
-    n = g.n
-    coef = Fraction(r * (r - 1), r + 1) * Fraction(n, r) ** (r + 1)
-    # k_r >= RHS(mu)  <=>  mu <= n * (k_r/coef + 1 - 1/r)   (coef > 0)
-    q = Fraction(n) * (Fraction(kr) / coef + 1 - Fraction(1, r))
-    lam = sympy.Symbol("lam")
-    m = sympy.Matrix(g.n, g.n, lambda i, j: 1 if i != j and g.has_edge(i, j) else 0)
-    mu = sympy.Poly(m.charpoly(lam).as_expr(), lam).real_roots()[-1]
-    return bool(mu <= sympy.Rational(q.numerator, q.denominator))
-
-
 def _resolve_spectral(
     n: int, r: int, mask: int, tol13: float = 1e-13
 ) -> tuple[Verdict, str]:
@@ -381,7 +358,7 @@ def _scan_order(
     def record_counterexamples(check: str, idx: np.ndarray) -> None:
         for i in idx:
             g = graph_from_edge_mask(n, int(masks[i]))
-            verdict = _scalar_check(check, g, r, tol)
+            verdict = run_check(TheoremId(check), g, r, tol=tol)
             payload = verdict.to_json_dict()
             payload["mask"] = int(masks[i])
             if int(i) in resolved:
@@ -429,9 +406,10 @@ def _scan_order(
             cx_idx: list[int] = []
             for i in boundary:
                 g = graph_from_edge_mask(n, int(masks[i]))
-                v = check_fact_lenslmm(g, r, tol)
+                v = run_check(TheoremId.FACT_LENSLMM, g, r, tol=tol)
                 if v.conclusion is TriState.INCONCLUSIVE:
-                    ok = _exact_lenslmm_conclusion(g, r, int(k.get(r, zeros)[i]))
+                    hook = CHECKS[TheoremId.FACT_LENSLMM].exact
+                    ok = _exact_flag(hook, g, r, DEFAULT_B) is TriState.YES
                     out["inconclusive_log"].append(
                         {
                             "n": n,
@@ -471,16 +449,6 @@ def _scan_order(
     return out
 
 
-def _scalar_check(check: str, g: Graph, r: int, tol: float) -> TheoremVerdict:
-    if check == "stt":
-        return check_spectral_turan(g, r, tol)
-    if check == "edge-spectral":
-        return check_edge_implies_spectral(g, r, tol)
-    if check == "lenslmm":
-        return check_fact_lenslmm(g, r, tol)
-    raise ValueError(f"no scalar path for {check!r}")
-
-
 def run_exhaustive(cfg: ExperimentConfig) -> ExperimentReport:
     """All labeled graphs of each order in range (or a seeded sample)."""
     t0 = time.monotonic()
@@ -507,7 +475,7 @@ def run_exhaustive(cfg: ExperimentConfig) -> ExperimentReport:
         stats[f"n={n}"]["graphs"] = int(masks.shape[0])
         instances += res["instances"]
         if "tsize" in cfg.checks:
-            v = check_fact_tsize(n, cfg.r)
+            v = run_check(TheoremId.FACT_TSIZE, n, cfg.r)
             instances += 1
             if v.is_counterexample:
                 counterexamples.append(v.to_json_dict())
@@ -524,43 +492,14 @@ def run_exhaustive(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _apply_check(cfg: ExperimentConfig, check: str, g: Graph) -> TheoremVerdict:
-    tid = TheoremId(check)
-    c = cfg.c if cfg.c > 0 else None
-    if tid is TheoremId.FACT_STT:
-        return check_spectral_turan(g, cfg.r, cfg.tol)
-    if tid is TheoremId.T1:
-        return check_theorem1(g, cfg.r, cfg.tol)
-    if tid is TheoremId.T2:
-        if c is None:
-            raise ValueError("theorem t2 needs an explicit c")
-        return check_theorem2(g, cfg.r, c, cfg.tol, cfg.budget)
-    if tid is TheoremId.T3:
-        return check_theorem3(g, cfg.r, cfg.tol, cfg.budget, c_override=c)
-    if tid in (TheoremId.T1_2, TheoremId.T2_2, TheoremId.T3_2):
-        return check_stability(g, cfg.r, cfg.b, tid, cfg.tol, cfg.budget, c=c)
-    if tid is TheoremId.FACT_LENSLMM:
-        return check_fact_lenslmm(g, cfg.r, cfg.tol)
-    if tid is TheoremId.FACT_LEKD:
-        return check_fact_lekd(g, cfg.r)
-    if tid is TheoremId.FACT_THV4:
-        if c is None:
-            raise ValueError("fact thv4 needs an explicit c")
-        return check_fact_thv4(g, cfg.r, c, cfg.budget)
-    if tid is TheoremId.EDGE_IMPLIES_SPECTRAL:
-        return check_edge_implies_spectral(g, cfg.r, cfg.tol)
-    if tid is TheoremId.BOOK_REMARK:
-        return check_book_remark(g, cfg.r, cfg.tol)
-    raise ValueError(f"check {check!r} has no per-graph path")
-
-
-_SPECTRAL_HYP_CHECKS = (
-    TheoremId.FACT_STT,
-    TheoremId.T1,
-    TheoremId.T2,
-    TheoremId.T3,
-    TheoremId.BOOK_REMARK,
-)
+def _exact_flag(hook: ExactHook, g: Graph, r: int, b: float) -> TriState:
+    """The flag a hook names, decided by exact algebraic comparison of mu(G)."""
+    if hook.bound is None:
+        exact = compare_mu_exact_multipartite(g, turan_part_sizes(g.n, r))
+        greater = exact is Verdict.GREATER
+    else:
+        greater = exact_mu_greater_than_rational(g, hook.bound(g, r, b))
+    return TriState.YES if greater == hook.yes_if_greater else TriState.NO
 
 
 def _apply_check_resolved(cfg: ExperimentConfig, check: str, g: Graph) -> TheoremVerdict:
@@ -570,30 +509,16 @@ def _apply_check_resolved(cfg: ExperimentConfig, check: str, g: Graph) -> Theore
     (e.g. G = T_r(n) itself); experiment verdicts escalate those to the
     algebraic comparison so every recorded flag is definite.
     """
-    v = _apply_check(cfg, check, g)
     tid = TheoremId(check)
-    if tid in _SPECTRAL_HYP_CHECKS and v.hypothesis is TriState.INCONCLUSIVE:
-        exact = compare_mu_exact_multipartite(g, turan_part_sizes(g.n, cfg.r))
-        v.hypothesis = TriState.YES if exact is Verdict.GREATER else TriState.NO
-        v.detail["hypothesis_resolved"] = "exact"
-    elif tid in (TheoremId.T1_2, TheoremId.T2_2, TheoremId.T3_2):
-        if v.hypothesis is TriState.INCONCLUSIVE:
-            thr = (1 - Fraction(1, cfg.r) - Fraction(cfg.b)) * g.n
-            v.hypothesis = (
-                TriState.YES if exact_mu_greater_than_rational(g, thr) else TriState.NO
-            )
-            v.detail["hypothesis_resolved"] = "exact"
-    if tid is TheoremId.EDGE_IMPLIES_SPECTRAL and v.conclusion is TriState.INCONCLUSIVE:
-        exact = compare_mu_exact_multipartite(g, turan_part_sizes(g.n, cfg.r))
-        v.conclusion = TriState.YES if exact is Verdict.GREATER else TriState.NO
-        v.detail["conclusion_resolved"] = "exact"
-    if tid is TheoremId.FACT_LENSLMM and v.conclusion is TriState.INCONCLUSIVE:
-        from .subgraph import count_cliques
-
-        kr = count_cliques(g, cfg.r).count
-        ok = _exact_lenslmm_conclusion(g, cfg.r, kr)
-        v.conclusion = TriState.YES if ok else TriState.NO
-        v.detail["conclusion_resolved"] = "exact"
+    spec = CHECKS[tid]
+    if spec.graph_free:
+        raise ValueError(f"check {check!r} has no per-graph path")
+    c = cfg.c if cfg.c > 0 else None
+    v = run_check(tid, g, cfg.r, tol=cfg.tol, budget=cfg.budget, c=c, b=cfg.b)
+    hook = spec.exact
+    if hook is not None and getattr(v, hook.flag) is TriState.INCONCLUSIVE:
+        setattr(v, hook.flag, _exact_flag(hook, g, cfg.r, cfg.b))
+        v.detail[f"{hook.flag}_resolved"] = "exact"
     if v.is_counterexample and v.graph_edges is None:
         from .graph import write_edge_list
 

@@ -278,17 +278,24 @@ def _multipartite_char_poly_expr(sizes: Sequence[int]):
     return lam, sympy.expand(prod_all - total)
 
 
+def _exact_mu(g: Graph):
+    """mu(G) as an exact sympy algebraic number: the largest real root of
+    the adjacency characteristic polynomial (0 for the empty graph)."""
+    import sympy
+
+    if g.n == 0:
+        return sympy.Integer(0)
+    lam = sympy.Symbol("lam")
+    m = sympy.Matrix(g.n, g.n, lambda i, j: 1 if i != j and g.has_edge(i, j) else 0)
+    return sympy.Poly(m.charpoly(lam).as_expr(), lam).real_roots()[-1]
+
+
 def exact_mu_greater_than_rational(g: Graph, threshold: Fraction) -> bool:
     """Exact decision of mu(G) > threshold for rational threshold (sympy)."""
     import sympy
 
     ref = sympy.Rational(threshold.numerator, threshold.denominator)
-    if g.n == 0:
-        return 0 > threshold
-    lam = sympy.Symbol("lam")
-    m = sympy.Matrix(g.n, g.n, lambda i, j: 1 if i != j and g.has_edge(i, j) else 0)
-    mu = sympy.Poly(m.charpoly(lam).as_expr(), lam).real_roots()[-1]
-    return bool(mu > ref)
+    return bool(_exact_mu(g) > ref)
 
 
 def compare_mu_exact_multipartite(g: Graph, sizes: Sequence[int]) -> Verdict:
@@ -304,12 +311,4 @@ def compare_mu_exact_multipartite(g: Graph, sizes: Sequence[int]) -> Verdict:
 
     lam, ref_expr = _multipartite_char_poly_expr(sizes)
     mu_ref = sympy.Poly(ref_expr, lam).real_roots()[-1]
-    if g.n == 0:
-        mu_g = sympy.Integer(0)
-    else:
-        m = sympy.Matrix(
-            g.n, g.n, lambda i, j: 1 if i != j and g.has_edge(i, j) else 0
-        )
-        char = m.charpoly(lam)
-        mu_g = sympy.Poly(char.as_expr(), lam).real_roots()[-1]
-    return Verdict.GREATER if mu_g > mu_ref else Verdict.NOT_GREATER
+    return Verdict.GREATER if _exact_mu(g) > mu_ref else Verdict.NOT_GREATER

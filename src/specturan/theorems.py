@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graph import Graph, turan_part_sizes, write_edge_list
 from .spectral import (
@@ -44,6 +44,8 @@ from .subgraph import (
     joint_size,
 )
 
+DEFAULT_B = 1e-6  # stability slack b when a caller gives none
+
 
 class TheoremId(Enum):
     T1 = "t1"
@@ -59,6 +61,11 @@ class TheoremId(Enum):
     FACT_THV4 = "thv4"
     EDGE_IMPLIES_SPECTRAL = "edge-spectral"
     BOOK_REMARK = "book"
+
+    @property
+    def label(self) -> str:
+        """How error messages name the check: 'theorem t2', 'fact thv4'."""
+        return f"{'fact' if self.name.startswith('FACT_') else 'theorem'} {self.value}"
 
 
 class TriState(Enum):
@@ -310,6 +317,26 @@ def _kr_plus_conclusion(
     return TriState.INCONCLUSIVE, None, detail
 
 
+def _kr_plus_branch(
+    g: Graph,
+    r: int,
+    c: float,
+    budget: int,
+    last_exponent: Callable[[float], float] | None,
+) -> tuple[TriState, dict | None, dict, bool]:
+    """(state, certificate, detail, vacuous) for K_r^+(s, ..., s, t) with
+    s = floor(c ln n) and t = ceil(n^last_exponent(c)), or t = s when
+    last_exponent is None.  Vacuously YES when s <= 0, where the exponent
+    is never evaluated (sqrt of a negative c would raise)."""
+    s = floor_c_log_n(c, g.n)
+    if s <= 0:
+        return TriState.YES, None, {"floor_c_ln_n": s}, True
+    t = s if last_exponent is None else ceil_n_power(g.n, last_exponent(c))
+    sizes = [max(2, s)] + [s] * (r - 2) + [t]
+    conclusion, cert, detail = _kr_plus_conclusion(g, sizes, budget)
+    return conclusion, cert, detail, False
+
+
 def check_theorem2(
     g: Graph,
     r: int,
@@ -319,35 +346,20 @@ def check_theorem2(
 ) -> TheoremVerdict:
     """mu(G) > mu(T_r(n))  =>  K_r^+(floor(c ln n), ..., ceil(n^{1-sqrt c}))."""
     cmp = compare_mu_to_turan(g, r, tol)
-    n = g.n
-    s = floor_c_log_n(c, n)
-    params = TheoremParams(r=r, n=n, c=c)
-    if s <= 0:
-        v = TheoremVerdict(
-            TheoremId.T2,
-            n,
-            r,
-            {"c": c, "tol": tol, "budget": budget},
-            _hyp_from(cmp),
-            TriState.YES,
-            in_regime=params.theorem2_regime(),
-            vacuous=True,
-            detail={**_spectral_detail(cmp), "floor_c_ln_n": s},
-        )
-        return _attach_graph(v, g)
-    t = ceil_n_power(n, 1.0 - math.sqrt(c))
-    sizes = [max(2, s)] + [s] * (r - 2) + [t]
-    conclusion, cert, search_detail = _kr_plus_conclusion(g, sizes, budget)
+    conclusion, cert, detail, vacuous = _kr_plus_branch(
+        g, r, c, budget, lambda c: 1.0 - math.sqrt(c)
+    )
     v = TheoremVerdict(
         TheoremId.T2,
-        n,
+        g.n,
         r,
         {"c": c, "tol": tol, "budget": budget},
         _hyp_from(cmp),
         conclusion,
-        in_regime=params.theorem2_regime(),
+        in_regime=TheoremParams(r=r, n=g.n, c=c).theorem2_regime(),
+        vacuous=vacuous,
         certificate=cert,
-        detail={**_spectral_detail(cmp), **search_detail},
+        detail={**_spectral_detail(cmp), **detail},
     )
     return _attach_graph(v, g)
 
@@ -363,36 +375,32 @@ def check_theorem3(
     paper's fixed c = r^{-(2r+9)(r+1)} unless overridden."""
     c = default_theorem3_c(r) if c_override is None else c_override
     cmp = compare_mu_to_turan(g, r, tol)
-    n = g.n
-    s = floor_c_log_n(c, n)
-    params = TheoremParams(r=r, n=n, c=c)
-    if s <= 0:
-        v = TheoremVerdict(
-            TheoremId.T3,
-            n,
-            r,
-            {"c": c, "tol": tol, "budget": budget},
-            _hyp_from(cmp),
-            TriState.YES,
-            in_regime=params.theorem3_regime(),
-            vacuous=True,
-            detail={**_spectral_detail(cmp), "floor_c_ln_n": s},
-        )
-        return _attach_graph(v, g)
-    sizes = [max(2, s)] + [s] * (r - 1)
-    conclusion, cert, search_detail = _kr_plus_conclusion(g, sizes, budget)
+    conclusion, cert, detail, vacuous = _kr_plus_branch(g, r, c, budget, None)
     v = TheoremVerdict(
         TheoremId.T3,
-        n,
+        g.n,
         r,
         {"c": c, "tol": tol, "budget": budget},
         _hyp_from(cmp),
         conclusion,
-        in_regime=params.theorem3_regime(),
+        in_regime=TheoremParams(r=r, n=g.n, c=c).theorem3_regime(),
+        vacuous=vacuous,
         certificate=cert,
-        detail={**_spectral_detail(cmp), **search_detail},
+        detail={**_spectral_detail(cmp), **detail},
     )
     return _attach_graph(v, g)
+
+
+def _lenslmm_coef(n: int, r: int) -> Fraction:
+    """r(r-1)/(r+1) * (n/r)^{r+1}, the slope of the lenslmm bound in mu/n."""
+    return Fraction(r * (r - 1), r + 1) * Fraction(n, r) ** (r + 1)
+
+
+def _lenslmm_mu_bound(g: Graph, r: int, b: float) -> Fraction:
+    """lenslmm holds iff mu <= n (k_r/coef + 1 - 1/r), solving k_r >= RHS(mu)
+    with coef > 0; b is unused (ExactHook signature)."""
+    kr = count_cliques(g, r).count
+    return g.n * (Fraction(kr) / _lenslmm_coef(g.n, r) + 1 - Fraction(1, r))
 
 
 def check_fact_lenslmm(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVerdict:
@@ -416,12 +424,10 @@ def check_fact_lenslmm(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVer
         )
     est = spectral_radius(g, tol)
 
+    coef = _lenslmm_coef(n, r)
+
     def rhs_at(mu: Fraction) -> Fraction:
-        return (
-            (mu / n - 1 + Fraction(1, r))
-            * Fraction(r * (r - 1), r + 1)
-            * Fraction(n, r) ** (r + 1)
-        )
+        return (mu / n - 1 + Fraction(1, r)) * coef
 
     detail = {
         "mu_value": est.value,
@@ -537,35 +543,20 @@ def check_fact_thv4(
     if r < 2:
         raise ValueError("r must be at least 2")
     hyp, hyp_cert, hyp_detail = _lekd_hypothesis(g, r)
-    n = g.n
-    s = floor_c_log_n(c, n)
-    params = TheoremParams(r=r, n=n, c=c)
-    if s <= 0:
-        v = TheoremVerdict(
-            TheoremId.FACT_THV4,
-            n,
-            r,
-            {"c": c, "budget": budget},
-            hyp,
-            TriState.YES,
-            in_regime=params.thv4_regime(),
-            vacuous=True,
-            detail={**hyp_detail, "floor_c_ln_n": s},
-        )
-        return _attach_graph(v, g)
-    t = ceil_n_power(n, 1.0 - c * r**3)
-    sizes = [max(2, s)] + [s] * (r - 2) + [t]
-    conclusion, cert, search_detail = _kr_plus_conclusion(g, sizes, budget)
+    conclusion, cert, detail, vacuous = _kr_plus_branch(
+        g, r, c, budget, lambda c: 1.0 - c * r**3
+    )
     v = TheoremVerdict(
         TheoremId.FACT_THV4,
-        n,
+        g.n,
         r,
         {"c": c, "budget": budget},
         hyp,
         conclusion,
-        in_regime=params.thv4_regime(),
+        in_regime=TheoremParams(r=r, n=g.n, c=c).thv4_regime(),
+        vacuous=vacuous,
         certificate=cert,
-        detail={**hyp_detail, **search_detail},
+        detail={**hyp_detail, **detail},
     )
     return _attach_graph(v, g)
 
@@ -720,6 +711,11 @@ def _verify_coloring(g: Graph, coloring: Sequence[int]) -> None:
             raise AssertionError(f"coloring not proper on edge ({u},{v})")
 
 
+def _stability_threshold(g: Graph, r: int, b: float) -> Fraction:
+    """(1 - 1/r - b) n, the spectral threshold of the stability theorems."""
+    return (1 - Fraction(1, r) - Fraction(b)) * g.n
+
+
 def check_stability(
     g: Graph,
     r: int,
@@ -746,7 +742,7 @@ def check_stability(
     if r < 2:
         raise ValueError("r must be at least 2")
     n = g.n
-    threshold = (1 - Fraction(1, r) - Fraction(b)) * n
+    threshold = _stability_threshold(g, r, b)
     cmp = compare_mu_to_threshold(g, threshold, tol)
     params_obj = TheoremParams(r=r, n=n, c=c, b=b)
 
@@ -774,17 +770,10 @@ def check_stability(
         if c is None:
             c = default_theorem3_c(r) / 2.0
             params_obj = TheoremParams(r=r, n=n, c=c, b=b)
-        s = floor_c_log_n(c, n)
-        if s <= 0:
-            a_state = TriState.YES
-            vacuous = True
-        else:
-            if which is TheoremId.T2_2:
-                t = ceil_n_power(n, 1.0 - 2.0 * math.sqrt(c))
-                sizes = [max(2, s)] + [s] * (r - 2) + [t]
-            else:
-                sizes = [max(2, s)] + [s] * (r - 1)
-            a_state, a_cert, _ = _kr_plus_conclusion(g, sizes, budget)
+        last_exponent = (
+            (lambda c: 1.0 - 2.0 * math.sqrt(c)) if which is TheoremId.T2_2 else None
+        )
+        a_state, a_cert, _, vacuous = _kr_plus_branch(g, r, c, budget, last_exponent)
 
     # Branch (b)
     witness, capped = find_stability_witness(
@@ -843,3 +832,74 @@ def check_stability(
         },
     )
     return _attach_graph(v, g)
+
+
+# ---------------------------------------------------------------------------
+# Checker table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExactHook:
+    """The flag an exact mu(G) settles on a tie: YES iff mu(G) > bound(g, r, b)
+    (mu(T_r(n)) when bound is None), negated when yes_if_greater is False."""
+
+    flag: str  # "hypothesis" or "conclusion"
+    bound: Callable[[Graph, int, float], Fraction] | None = None
+    yes_if_greater: bool = True
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """A checker, the run_check parameters it takes after (g, r) in order,
+    and how its ties are settled.  Graph-free checkers take n for g."""
+
+    checker: Callable[..., TheoremVerdict]
+    params: tuple[str, ...]
+    exact: ExactHook | None = None
+    needs_c: bool = False
+    graph_free: bool = False
+
+
+_TURAN_HYP = ExactHook("hypothesis")
+_STABILITY = ("b", "which", "tol", "budget", "c")
+_STABILITY_HYP = ExactHook("hypothesis", _stability_threshold)
+
+CHECKS: dict[TheoremId, CheckSpec] = {
+    TheoremId.FACT_STT: CheckSpec(check_spectral_turan, ("tol",), _TURAN_HYP),
+    TheoremId.T1: CheckSpec(check_theorem1, ("tol",), _TURAN_HYP),
+    TheoremId.T2: CheckSpec(check_theorem2, ("c", "tol", "budget"), _TURAN_HYP, needs_c=True),
+    TheoremId.T3: CheckSpec(check_theorem3, ("tol", "budget", "c"), _TURAN_HYP),
+    TheoremId.T1_2: CheckSpec(check_stability, _STABILITY, _STABILITY_HYP),
+    TheoremId.T2_2: CheckSpec(check_stability, _STABILITY, _STABILITY_HYP),
+    TheoremId.T3_2: CheckSpec(check_stability, _STABILITY, _STABILITY_HYP),
+    TheoremId.FACT_LENSLMM: CheckSpec(
+        check_fact_lenslmm, ("tol",), ExactHook("conclusion", _lenslmm_mu_bound, False)
+    ),
+    TheoremId.FACT_TSIZE: CheckSpec(check_fact_tsize, (), graph_free=True),
+    TheoremId.FACT_LEKD: CheckSpec(check_fact_lekd, ()),
+    TheoremId.FACT_THV4: CheckSpec(check_fact_thv4, ("c", "budget"), needs_c=True),
+    TheoremId.EDGE_IMPLIES_SPECTRAL: CheckSpec(
+        check_edge_implies_spectral, ("tol",), ExactHook("conclusion")
+    ),
+    TheoremId.BOOK_REMARK: CheckSpec(check_book_remark, ("tol",), _TURAN_HYP),
+}
+
+
+def run_check(
+    tid: TheoremId,
+    g: Graph | int,
+    r: int,
+    *,
+    tol: float = DEFAULT_TOL,
+    budget: int = DEFAULT_BUDGET,
+    c: float | None = None,
+    b: float = DEFAULT_B,
+) -> TheoremVerdict:
+    """Run the checker of `tid` on g (the order n for tsize).  c None means
+    the checker's default; t2 and thv4 have none and raise."""
+    spec = CHECKS[tid]
+    if spec.needs_c and c is None:
+        raise ValueError(f"{tid.label} needs an explicit c")
+    given = {"tol": tol, "budget": budget, "c": c, "b": b, "which": tid}
+    return spec.checker(g, r, *(given[p] for p in spec.params))

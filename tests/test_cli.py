@@ -6,7 +6,13 @@ import math
 import pytest
 
 from specturan.cli import main
-from specturan.graph import make_turan, read_edge_list, write_edge_list_file
+from specturan.graph import (
+    make_turan,
+    make_turan_plus_edge,
+    read_edge_list,
+    write_edge_list_file,
+)
+from specturan.theorems import CHECKS, TheoremId, run_check
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +192,27 @@ class TestCheck:
             capsys, "check", path, "--theorem", "stt", "--r", "2", "--tol", "1e-8"
         )
         assert json.loads(out)["params"]["tol"] == 1e-8
+
+
+class TestCheckerTable:
+    def test_one_spec_per_theorem(self):
+        assert set(CHECKS) == set(TheoremId)  # dict keys: one spec each
+
+    @pytest.mark.parametrize(
+        "tid", [t for t in TheoremId if not CHECKS[t].graph_free], ids=lambda t: t.value
+    )
+    def test_cli_matches_run_check(self, tid, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SPECTURAN_TOL", raising=False)
+        monkeypatch.delenv("SPECTURAN_BUDGET", raising=False)
+        g = make_turan_plus_edge(9, 3)
+        path = str(tmp_path / "g.el")
+        write_edge_list_file(g, path)
+        c = 0.6 if CHECKS[tid].needs_c else None
+        argv = ["check", path, "--theorem", tid.value, "--r", "3"]
+        code, out, _ = run_cli(capsys, *argv, *(["--c", "0.6"] if c else []))
+        assert code == 0
+        expected = run_check(tid, g, 3, c=c).to_json_dict()
+        assert out == json.dumps(expected, sort_keys=True) + "\n"
 
 
 class TestEnvOverrides:

@@ -6,8 +6,10 @@ import pytest
 from specturan.graph import graph_from_edge_mask, make_turan
 from specturan.harness import (
     ExperimentConfig,
+    _apply_check_resolved,
     _batched_mu,
     _clique_counts,
+    _exact_flag,
     _joint_sizes_vector,
     _neighbor_rows,
     run_exhaustive,
@@ -19,7 +21,14 @@ from specturan.harness import (
 from specturan.rng import SplitMix64
 from specturan.spectral import spectral_radius
 from specturan.subgraph import count_cliques, joint_size
-from specturan.theorems import turan_edge_count
+from specturan.theorems import (
+    CHECKS,
+    TheoremId,
+    TriState,
+    check_fact_lenslmm,
+    run_check,
+    turan_edge_count,
+)
 
 
 class TestConfig:
@@ -39,6 +48,8 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_mapping({"mode": "exhaustive", "n": 4, "bogus": 1})
+        with pytest.raises(ValueError, match="unknown config keys"):
+            ExperimentConfig.from_mapping({"mode": "exhaustive", "n": 4, "threads": 1})
 
     def test_exhaustive_caps_n(self):
         with pytest.raises(ValueError):
@@ -195,6 +206,49 @@ class TestExhaustive:
             "b.json", "X"
         )
         assert (tmp_path / "a.json.meta.json").exists()
+
+
+class TestExactResolution:
+    """T_3(9) is 6-regular, so mu(G) = mu(T_3(9)) = (1 - 1/3 - 0) * 9 exactly:
+    every spectral flag ties in floating point and the hooks must settle it."""
+
+    @pytest.mark.parametrize(
+        "check, flag",
+        [
+            ("stt", "hypothesis"),
+            ("t1", "hypothesis"),
+            ("t2", "hypothesis"),
+            ("t3", "hypothesis"),
+            ("book", "hypothesis"),
+            ("edge-spectral", "conclusion"),
+            ("t1.2", "hypothesis"),
+            ("t2.2", "hypothesis"),
+            ("t3.2", "hypothesis"),
+        ],
+    )
+    def test_turan_tie_settles_no(self, check, flag):
+        cfg = ExperimentConfig(
+            mode="family_sweep", n_min=9, n_max=9, r=3, checks=(check,), c=0.6, b=0.0
+        )
+        g = make_turan(9, 3)
+        raw = run_check(TheoremId(check), g, 3, tol=cfg.tol, budget=cfg.budget, c=0.6, b=0.0)
+        assert getattr(raw, flag) is TriState.INCONCLUSIVE
+        v = _apply_check_resolved(cfg, check, g)
+        assert getattr(v, flag) is TriState.NO
+        assert v.detail[f"{flag}_resolved"] == "exact"
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_lenslmm_exact_agrees_with_float(self, r):
+        hook = CHECKS[TheoremId.FACT_LENSLMM].exact
+        decided = 0
+        for mask in range(0, 1 << 10, 37):
+            g = graph_from_edge_mask(5, mask)
+            v = check_fact_lenslmm(g, r)
+            if v.conclusion is TriState.INCONCLUSIVE:
+                continue
+            decided += 1
+            assert _exact_flag(hook, g, r, 0.0) is v.conclusion, mask
+        assert decided >= 25
 
 
 class TestFamilySweep:
