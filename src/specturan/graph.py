@@ -87,10 +87,13 @@ class Graph:
                 raise ValueError(f"row {v} has bits outside 0..{self.n - 1}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            for u in _bit_indices(self._adj[v]):
-                if not (self._adj[u] >> v) & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        # argwhere lists pairs in row-major order, so the first offender is
+        # the one a scan of the rows in order meets first.
+        bits = self._bit_matrix()
+        offenders = np.argwhere(bits > bits.T)
+        if offenders.size:
+            v, u = offenders[0].tolist()
+            raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -185,20 +188,20 @@ class Graph:
             out.append(list(_bit_indices(comp)))
         return out
 
-    def to_numpy(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix (float64)."""
-        if self.n == 0:
-            return np.zeros((0, 0))
+    def _bit_matrix(self) -> np.ndarray:
+        """Adjacency as an n x n uint8 0/1 matrix; rows must lie in 0..n-1."""
         nbytes = (self.n + 7) // 8
-        buf = bytearray(nbytes * self.n)
-        for v, row in enumerate(self._adj):
-            buf[v * nbytes : (v + 1) * nbytes] = row.to_bytes(nbytes, "little")
+        buf = b"".join(row.to_bytes(nbytes, "little") for row in self._adj)
         bits = np.unpackbits(
-            np.frombuffer(bytes(buf), dtype=np.uint8).reshape(self.n, nbytes),
+            np.frombuffer(buf, dtype=np.uint8).reshape(self.n, nbytes),
             axis=1,
             bitorder="little",
         )
-        return bits[:, : self.n].astype(np.float64)
+        return bits[:, : self.n]
+
+    def to_numpy(self) -> np.ndarray:
+        """Dense symmetric 0/1 adjacency matrix (float64)."""
+        return self._bit_matrix().astype(np.float64)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

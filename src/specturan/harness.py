@@ -96,6 +96,17 @@ class ExperimentConfig:
                 raise ValueError(
                     f"exhaustive mode supports {EXHAUSTIVE_CHECKS}, got {bad}"
                 )
+        else:
+            for check in self.checks:
+                try:
+                    tid = TheoremId(check)
+                except ValueError:
+                    raise ValueError(f"unknown check {check!r}") from None
+                spec = CHECKS[tid]
+                if spec.graph_free:
+                    raise ValueError(f"check {check!r} has no per-graph path")
+                if spec.needs_c and self.c <= 0:
+                    raise ValueError(f"check {check!r} needs c > 0")
         if self.mode == "tightness" and not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
 
@@ -510,12 +521,9 @@ def _apply_check_resolved(cfg: ExperimentConfig, check: str, g: Graph) -> Theore
     algebraic comparison so every recorded flag is definite.
     """
     tid = TheoremId(check)
-    spec = CHECKS[tid]
-    if spec.graph_free:
-        raise ValueError(f"check {check!r} has no per-graph path")
     c = cfg.c if cfg.c > 0 else None
     v = run_check(tid, g, cfg.r, tol=cfg.tol, budget=cfg.budget, c=c, b=cfg.b)
-    hook = spec.exact
+    hook = CHECKS[tid].exact
     if hook is not None and getattr(v, hook.flag) is TriState.INCONCLUSIVE:
         setattr(v, hook.flag, _exact_flag(hook, g, cfg.r, cfg.b))
         v.detail[f"{hook.flag}_resolved"] = "exact"

@@ -9,8 +9,9 @@ Counting uses ordered expansion over bitset intersections, so each clique
 is visited once.  Joint sizes reuse the counter on per-edge common
 neighborhoods, with two exactness-preserving accelerations: identical
 common neighborhoods are counted once (they repeat heavily on structured
-hosts), and edges whose Kruskal-Katona upper bound cannot beat the current
-maximum are skipped.
+hosts), and edges whose clique-count upper bound cannot beat the current
+maximum are skipped.  That bound is the exact integer colex form of the
+Kruskal-Katona theorem, computed once per distinct common neighborhood.
 """
 
 from __future__ import annotations
@@ -184,18 +185,14 @@ def clique_exists(g: Graph, r: int) -> tuple[int, ...] | None:
     return None
 
 
-def _kruskal_katona_bound(m_edges: int, k: int) -> float:
-    """Max number of k-cliques in any graph with m_edges edges (fractional
-    Kruskal-Katona / Lovasz form): C(x, k) where C(x, 2) = m_edges."""
-    if m_edges == 0:
-        return 0.0
-    x = 0.5 * (1.0 + math.sqrt(1.0 + 8.0 * m_edges))
-    ub = 1.0
-    for i in range(k):
-        ub *= (x - i) / (i + 1)
-        if ub <= 0.0:
-            return 0.0
-    return ub
+def _clique_bound(m_edges: int, k: int) -> int:
+    """Most k-cliques any graph with m_edges edges can have (k >= 2): the
+    clique form of the Kruskal-Katona theorem.  Writing m_edges = C(a, 2) + b
+    with 0 <= b < a, the colex graph (K_a plus one vertex joined to b of its
+    vertices) is extremal, with C(a, k) + C(b, k - 1) k-cliques."""
+    a = (1 + math.isqrt(1 + 8 * m_edges)) // 2
+    b = m_edges - a * (a - 1) // 2
+    return math.comb(a, k) + math.comb(b, k - 1)
 
 
 def _edges_within(adj: Sequence[int], mask: int) -> int:
@@ -246,6 +243,7 @@ def joint_size(g: Graph, r: int, with_per_edge: bool = False) -> JointReport:
         return JointReport(r, witness, best, per_edge)
 
     order = sorted(edges, key=lambda e: (-(adj[e[0]] & adj[e[1]]).bit_count(), e))
+    bounds: dict[int, int] = {}  # cn -> _clique_bound of the edges inside it
     best = -1
     witness: tuple[int, int] | None = None
     for u, v in order:
@@ -256,14 +254,13 @@ def joint_size(g: Graph, r: int, with_per_edge: bool = False) -> JointReport:
         elif cn in memo:
             cnt = memo[cn]
         else:
-            pc = cn.bit_count()
-            ub = float(math.comb(pc, k)) if pc >= k else 0.0
+            ub = math.comb(cn.bit_count(), k)
             if ub > best:
-                ub = min(ub, _kruskal_katona_bound(_edges_within(adj, cn), k))
-            # Counts are integers, so floor the float bound (with slop up).
-            ub_int = int(math.floor(ub + 1e-6))
-            skip = ub_int < best or (
-                ub_int == best and witness is not None and witness < (u, v)
+                ub = bounds.get(cn)
+                if ub is None:
+                    ub = bounds[cn] = _clique_bound(_edges_within(adj, cn), k)
+            skip = ub < best or (
+                ub == best and witness is not None and witness < (u, v)
             )
             if not skip:
                 cnt = exact_count(cn)

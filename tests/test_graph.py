@@ -265,6 +265,19 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(2, [0b10, 0b00])
 
+    def test_validation_messages(self):
+        with pytest.raises(ValueError) as exc:
+            Graph(3, [0b000, 0b1000, 0b001])
+        assert str(exc.value) == "row 1 has bits outside 0..2"
+        with pytest.raises(ValueError) as exc:
+            Graph(3, [0b000, 0b000, 0b100])
+        assert str(exc.value) == "self-loop at vertex 2"
+        # Offenders (row, column): (0, 3) and (1, 2).  A scan of the rows in
+        # order meets (0, 3) first; a column-major scan would report (1, 2).
+        with pytest.raises(ValueError) as exc:
+            Graph(4, [0b1000, 0b0100, 0b0000, 0b0000])
+        assert str(exc.value) == "asymmetric adjacency between 3 and 0"
+
     def test_to_numpy(self):
         g = make_turan(5, 2)
         a = g.to_numpy()

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from specturan import cli
 from specturan.graph import graph_from_edge_mask, make_turan
 from specturan.harness import (
     ExperimentConfig,
@@ -50,6 +51,29 @@ class TestConfig:
             ExperimentConfig.from_mapping({"mode": "exhaustive", "n": 4, "bogus": 1})
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_mapping({"mode": "exhaustive", "n": 4, "threads": 1})
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (("checks=stt,bogus",), "error: unknown check 'bogus'"),
+            (("checks=stt,tsize",), "error: check 'tsize' has no per-graph path"),
+            (("checks=stt,t2",), "error: check 't2' needs c > 0"),
+            (("checks=thv4", "c=0"), "error: check 'thv4' needs c > 0"),
+        ],
+    )
+    def test_impossible_check_rejected_before_any_graph(
+        self, settings, message, monkeypatch, capsys
+    ):
+        def no_run(cfg):
+            raise AssertionError("the experiment started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        argv = ["experiment", "--set", "mode=family_sweep", "--set", "n_min=4"]
+        argv += ["--set", "n_max=30", "--set", "r=3"]
+        for item in settings:
+            argv += ["--set", item]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.strip() == message
 
     def test_exhaustive_caps_n(self):
         with pytest.raises(ValueError):

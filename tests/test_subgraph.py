@@ -1,5 +1,7 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 from oracles import (
@@ -22,6 +24,7 @@ from specturan.graph import (
 from specturan.rng import SplitMix64
 from specturan.subgraph import (
     Embedding,
+    _clique_bound,
     EmbeddingValidationError,
     SearchStatus,
     book_size,
@@ -129,6 +132,58 @@ class TestJointSize:
                 full = joint_size(g, r, with_per_edge=True)
                 assert fast.size == full.size
                 assert fast.witness_edge == full.witness_edge
+
+    def test_pruned_equals_per_edge_on_structured_hosts(self):
+        # Common neighbourhoods repeat on these hosts, so the pruning-bound
+        # and count memos are hit many times per call.
+        for r in range(2, 5):
+            hosts = []
+            for n in range(r, 31, 3):
+                hosts.append(make_turan(n, r))
+                if n >= 2 * r:
+                    hosts.append(make_turan_plus_edge(n, r))
+            for s in range(1, 6):
+                hosts.append(make_kr_plus((2,) + tuple(range(s, s + r - 1))))
+            for g in hosts:
+                for q in (r, r + 1, r + 2):
+                    fast = joint_size(g, q)
+                    full = joint_size(g, q, with_per_edge=True)
+                    assert (fast.size, fast.witness_edge) == (
+                        full.size,
+                        full.witness_edge,
+                    ), (g, q)
+
+
+class TestCliqueBound:
+    def test_matches_brute_force_maximum(self):
+        """Against the most k-cliques over every labelled graph on n <= 6
+        vertices with m edges: never below it, and equal to it wherever the
+        extremal colex graph (K_a plus a vertex joined to b of it, for
+        m = C(a, 2) + b, 0 <= b < a) fits on n vertices."""
+        for n in range(2, 7):
+            pairs = list(itertools.combinations(range(n), 2))
+            masks = np.arange(1 << len(pairs), dtype=np.int64)
+            edges = np.bitwise_count(masks)
+            for k in range(2, 6):
+                counts = np.zeros_like(masks)
+                for subset in itertools.combinations(range(n), k):
+                    sm = sum(1 << pairs.index(p) for p in itertools.combinations(subset, 2))
+                    counts += (masks & sm) == sm
+                for m in range(len(pairs) + 1):
+                    most = int(counts[edges == m].max())
+                    bound = _clique_bound(m, k)
+                    assert bound >= most, (n, m, k)
+                    a = max(a for a in range(n + 2) if a * (a - 1) // 2 <= m)
+                    b = m - a * (a - 1) // 2
+                    if a + (b > 0) <= n:
+                        assert bound == most, (n, m, k)
+
+    def test_exact_above_float_precision(self):
+        a = 10**6 + 7
+        m = a * (a - 1) // 2
+        assert math.comb(a, 6) > 2**53
+        assert _clique_bound(m, 6) == math.comb(a, 6)
+        assert _clique_bound(m + a - 1, 6) == math.comb(a, 6) + math.comb(a - 1, 5)
 
 
 class TestBookSize:
