@@ -159,15 +159,9 @@ class Graph:
                 raise ValueError(f"vertex {v} out of range for n={self.n}")
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertices in subset")
-        index = {v: i for i, v in enumerate(vertices)}
-        k = len(vertices)
-        rows = [0] * k
-        for v, i in index.items():
-            row = self._adj[v]
-            for u in vertices:
-                if (row >> u) & 1:
-                    rows[i] |= 1 << index[u]
-        return Graph(k, rows)
+        idx = np.array(vertices, dtype=np.intp).reshape(-1)
+        packed = np.packbits(self._bit_matrix(idx)[:, idx], axis=1, bitorder="little")
+        return Graph(len(idx), [int.from_bytes(row.tobytes(), "little") for row in packed])
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, sorted by minimum vertex."""
@@ -188,12 +182,15 @@ class Graph:
             out.append(list(_bit_indices(comp)))
         return out
 
-    def _bit_matrix(self) -> np.ndarray:
-        """Adjacency as an n x n uint8 0/1 matrix; rows must lie in 0..n-1."""
+    def _bit_matrix(self, vertices: Sequence[int] | None = None) -> np.ndarray:
+        """Adjacency rows of `vertices` (default all, in order) as a
+        len(vertices) x n uint8 0/1 matrix; rows must lie in 0..n-1."""
+        if vertices is None:
+            vertices = range(self.n)
         nbytes = (self.n + 7) // 8
-        buf = b"".join(row.to_bytes(nbytes, "little") for row in self._adj)
+        buf = b"".join(self._adj[v].to_bytes(nbytes, "little") for v in vertices)
         bits = np.unpackbits(
-            np.frombuffer(buf, dtype=np.uint8).reshape(self.n, nbytes),
+            np.frombuffer(buf, dtype=np.uint8).reshape(len(vertices), nbytes),
             axis=1,
             bitorder="little",
         )

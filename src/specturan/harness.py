@@ -6,12 +6,18 @@ report JSON.  Wall time and other non-reproducible metadata go to a
 sidecar `<output>.meta.json`, never into the report.
 
 The exhaustive mode enumerates every labeled graph of order n <= 8 by
-edge-mask integer and evaluates the supported fact checkers with
-vectorized numpy kernels: exact popcount/bit arithmetic for edge and
-clique counts, and batched power iteration on A + I for the spectral
-hypothesis.  Near-tie spectral comparisons are re-run at tol 1e-13 and, if
-still open, settled exactly by algebraic root comparison, so every
-instance ends with a definite verdict and the tie log stays auditable.
+edge-mask integer.  Every quantity its checks use is an isomorphism
+invariant, so a full scan first partitions the masks into isomorphism
+classes by orbit marking (2^21 masks, 1044 classes at n = 7) and
+evaluates each class once on its smallest mask: batched power iteration
+on A + I for the spectral hypothesis, exact bit arithmetic for edge,
+clique and joint counts.  Verdicts reach every mask of a class through
+its class id: counts are weighted by class size, and the tie log and
+counterexample records still hold one entry per labeled mask.  A sampled
+scan treats each sampled mask as its own class.  Near-tie spectral
+comparisons are re-run at tol 1e-13 and, if still open, settled exactly
+by algebraic root comparison, once per class, so every instance ends
+with a definite verdict and the tie log stays auditable.
 """
 
 from __future__ import annotations
@@ -254,6 +260,52 @@ def _joint_sizes_vector(masks: np.ndarray, rows: np.ndarray, n: int, r: int) -> 
     return out
 
 
+def _permuted_pair_bits(n: int) -> np.ndarray:
+    """(n!, C(n, 2)) uint32 table: row p holds, for each pair bit i, the
+    single-bit mask of the pair that vertex permutation p sends pair i to."""
+    pairs = np.array(_pair_list(n), dtype=np.int64).reshape(-1, 2)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    perms = perms.reshape(math.factorial(n), n)
+    a, b = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    rank = lo * n - lo * (lo + 1) // 2 + (hi - lo - 1)  # lexicographic pair index
+    return (np.uint32(1) << rank.astype(np.uint32)).astype(np.uint32)
+
+
+def _mask_classes(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Isomorphism-class partition of a scan's masks: (reps, class_of).
+
+    `reps[class_of[i]]` is the class representative of `masks[i]`.  When
+    `masks` is every mask of order n in increasing order, classes are
+    orbits under vertex relabelling, found by orbit marking: the smallest
+    unassigned mask opens a class and all n! of its images join it, so
+    each representative is the smallest mask of its class and the classes
+    come out in increasing representative order.  A sample (fewer masks
+    than the order has) gets the identity partition, one class per mask.
+    """
+    total = int(masks.shape[0])
+    if total != 1 << (n * (n - 1) // 2):
+        return masks, np.arange(total)
+    table = _permuted_pair_bits(n)
+    class_of = np.full(total, -1, dtype=np.int32)
+    reps: list[int] = []
+    pos, window = 0, 4096
+    while pos < total:
+        free = np.flatnonzero(class_of[pos : pos + window] < 0)
+        if free.size == 0:
+            pos += window
+            continue
+        rep = pos + int(free[0])
+        bits = [i for i in range(table.shape[1]) if (rep >> i) & 1]
+        # A permutation sends distinct pairs to distinct pairs, so the sum
+        # of the images' single-bit masks is their OR.
+        images = table[:, bits].sum(axis=1, dtype=np.uint32)
+        class_of[images] = len(reps)
+        reps.append(rep)
+        pos = rep + 1
+    return np.array(reps, dtype=masks.dtype), class_of
+
+
 def _batched_mu(
     rows: np.ndarray, n: int, tol: float, max_iter: int, chunk: int = 1 << 16
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -320,11 +372,27 @@ def _scan_order(
     checks: Sequence[str],
     collect_stats: bool,
 ) -> dict:
-    """Evaluate the exhaustive-mode checks on every mask of one order."""
+    """Evaluate the exhaustive-mode checks on every mask of one order.
+
+    Every array below is indexed by isomorphism class, not by mask: the
+    kernels run once per class, on its representative.  Only index sets
+    (tie log, counterexamples, the lenslmm boundary) are expanded to the
+    masks of their classes, in mask order, and counts are weighted by the
+    number of masks in each class.
+    """
     total = int(masks.shape[0])
-    e_arr = np.bitwise_count(masks).astype(np.int64)
-    rows = _neighbor_rows(masks, n)
-    k = {q: _clique_counts(masks, n, q) for q in range(2, min(n, r + 1) + 1)}
+    reps, class_of = _mask_classes(n, masks)
+    size = np.bincount(class_of, minlength=reps.shape[0])  # masks per class
+    e_arr = np.bitwise_count(reps).astype(np.int64)
+    rows = _neighbor_rows(reps, n)
+    k = {q: _clique_counts(reps, n, q) for q in range(2, min(n, r + 1) + 1)}
+
+    def masks_where(flags: np.ndarray) -> np.ndarray:
+        """Indices of the masks whose class is flagged, increasing."""
+        return np.nonzero(flags[class_of])[0]
+
+    def mask_histogram(arr: np.ndarray) -> list[int]:
+        return np.bincount(arr, weights=size).astype(np.int64).tolist()
 
     need_spectral = any(c in ("stt", "lenslmm", "edge-spectral") for c in checks)
     mu_t = turan_mu_exact(n, r)
@@ -334,21 +402,23 @@ def _scan_order(
         "stats": {},
         "instances": 0,
     }
-    zeros = np.zeros(total, dtype=np.int64)
-    resolved: dict[int, Verdict] = {}
+    zeros = np.zeros(reps.shape[0], dtype=np.int64)
+    settled: dict[int, tuple[Verdict, str]] = {}  # class id -> tie resolution
     if need_spectral:
         value, resid, conv = _batched_mu(rows, n, tol, 100 * n + 1000)
-        bad = np.nonzero(~conv)[0]
-        for i in bad:
-            est = spectral_radius(graph_from_edge_mask(n, int(masks[i])), tol)
-            value[i], resid[i] = est.value, est.residual
-            conv[i] = est.converged
+        for c in np.nonzero(~conv)[0]:
+            est = spectral_radius(graph_from_edge_mask(n, int(reps[c])), tol)
+            value[c], resid[c] = est.value, est.residual
+            conv[c] = est.converged
         greater = conv & (value - resid > mu_t + tol)
         not_greater = conv & (value + resid < mu_t - tol)
-        open_idx = np.nonzero(~(greater | not_greater))[0]
-        for i in open_idx:
-            verdict, stage = _resolve_spectral(n, r, int(masks[i]))
-            resolved[int(i)] = verdict
+        is_open = ~(greater | not_greater)
+        for c in np.nonzero(is_open)[0]:
+            verdict, stage = _resolve_spectral(n, r, int(reps[c]))
+            settled[int(c)] = (verdict, stage)
+            greater[c] = verdict is Verdict.GREATER
+        for i in masks_where(is_open):
+            verdict, stage = settled[int(class_of[i])]
             out["inconclusive_log"].append(
                 {
                     "n": n,
@@ -358,13 +428,6 @@ def _scan_order(
                     "resolution": verdict.value,
                 }
             )
-            if verdict is Verdict.GREATER:
-                greater[i] = True
-            else:
-                not_greater[i] = True
-
-    def spectral_yes() -> np.ndarray:
-        return greater
 
     def record_counterexamples(check: str, idx: np.ndarray) -> None:
         for i in idx:
@@ -372,8 +435,9 @@ def _scan_order(
             verdict = run_check(TheoremId(check), g, r, tol=tol)
             payload = verdict.to_json_dict()
             payload["mask"] = int(masks[i])
-            if int(i) in resolved:
-                payload["spectral_resolved_exactly"] = resolved[int(i)].value
+            tie = settled.get(int(class_of[i]))
+            if tie is not None:
+                payload["spectral_resolved_exactly"] = tie[0].value
             if payload["graph"] is None:
                 from .graph import write_edge_list
 
@@ -386,23 +450,20 @@ def _scan_order(
         out["instances"] += total
         if check == "stt":
             concl_no = k.get(r + 1, zeros) == 0
-            cx = np.nonzero(spectral_yes() & concl_no)[0]
-            record_counterexamples(check, cx)
+            record_counterexamples(check, masks_where(greater & concl_no))
             if collect_stats:
-                yes = spectral_yes()
                 out["stats"]["stt"] = {
-                    "hypothesis_yes": int(yes.sum()),
-                    "min_mu_gap_over_yes": float((value - mu_t)[yes].min())
-                    if yes.any()
+                    "hypothesis_yes": int(size[greater].sum()),
+                    "min_mu_gap_over_yes": float((value - mu_t)[greater].min())
+                    if greater.any()
                     else None,
                 }
         elif check == "edge-spectral":
             hyp = e_arr > turan_edge_count(n, r)
-            cx = np.nonzero(hyp & ~spectral_yes())[0]
-            record_counterexamples(check, cx)
+            record_counterexamples(check, masks_where(hyp & ~greater))
             if collect_stats:
                 out["stats"]["edge-spectral"] = {
-                    "hypothesis_yes": int(hyp.sum()),
+                    "hypothesis_yes": int(size[hyp].sum()),
                     "min_mu_gap_over_yes": float((value - mu_t)[hyp].min())
                     if hyp.any()
                     else None,
@@ -413,7 +474,7 @@ def _scan_order(
             lhs = k.get(r, zeros).astype(np.float64)
             margin = 1e-6 * np.maximum(1.0, np.abs(rhs_hi))
             clear_yes = lhs >= rhs_hi + margin
-            boundary = np.nonzero(~clear_yes)[0]
+            boundary = masks_where(~clear_yes)
             cx_idx: list[int] = []
             for i in boundary:
                 g = graph_from_edge_mask(n, int(masks[i]))
@@ -451,12 +512,12 @@ def _scan_order(
     if collect_stats:
         dist: dict = {}
         for q, arr in k.items():
-            dist[f"k_{q}"] = np.bincount(arr).tolist()
+            dist[f"k_{q}"] = mask_histogram(arr)
         if r + 1 <= 4:
-            js = _joint_sizes_vector(masks, rows, n, r + 1)
-            dist[f"js_{r + 1}"] = np.bincount(js).tolist()
+            js = _joint_sizes_vector(reps, rows, n, r + 1)
+            dist[f"js_{r + 1}"] = mask_histogram(js)
         out["stats"]["distributions"] = dist
-        out["stats"]["edge_count_distribution"] = np.bincount(e_arr).tolist()
+        out["stats"]["edge_count_distribution"] = mask_histogram(e_arr)
     return out
 
 

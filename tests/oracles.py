@@ -139,3 +139,19 @@ def _brute_colorable(g: Graph, vertices: tuple[int, ...], r: int) -> bool:
         all(colors[i] != colors[j] for i, j in edges)
         for colors in itertools.product(range(r), repeat=len(vertices))
     )
+
+
+def canonical_mask(n: int, mask: int) -> int:
+    """Brute-force canonical form of an edge mask over the lexicographic
+    pair list: the smallest mask among all n! vertex relabellings."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    edges = [p for i, p in enumerate(pairs) if (mask >> i) & 1]
+    best = None
+    for perm in itertools.permutations(range(n)):
+        image = 0
+        for u, v in edges:
+            image |= 1 << index[tuple(sorted((perm[u], perm[v])))]
+        if best is None or image < best:
+            best = image
+    return best

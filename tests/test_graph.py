@@ -172,15 +172,40 @@ class TestInducedSubgraph:
         assert complete_graph(4).induced_subgraph([]).n == 0
 
     def test_rejects_bad_vertices(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex 5 out of range for n=3$"):
             complete_graph(3).induced_subgraph([0, 5])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex -1 out of range for n=3$"):
+            complete_graph(3).induced_subgraph([-1])
+        with pytest.raises(ValueError, match=r"^duplicate vertices in subset$"):
             complete_graph(3).induced_subgraph([0, 0])
 
     def test_order_preserved(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         sub = g.induced_subgraph([3, 2])
         assert sub.has_edge(0, 1)
+
+    def test_matches_per_pair_construction(self):
+        # Shuffled vertex orders and orders k that are not multiples of 8,
+        # so the packed rows end in partial bytes.
+        rng = SplitMix64(17)
+        for trial in range(60):
+            n = 1 + rng.below(40)
+            g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), rng.next_u64())
+            k = rng.below(n + 1)
+            vertices = list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = rng.below(i + 1)
+                vertices[i], vertices[j] = vertices[j], vertices[i]
+            vertices = vertices[:k]
+            expected = Graph.from_edges(
+                k,
+                [
+                    (i, j)
+                    for i, j in itertools.combinations(range(k), 2)
+                    if g.has_edge(vertices[i], vertices[j])
+                ],
+            )
+            assert g.induced_subgraph(vertices) == expected, (trial, n, vertices)
 
 
 class TestEdgeList:

@@ -1,9 +1,11 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specturan import cli
+from specturan import cli, harness
 from specturan.graph import graph_from_edge_mask, make_turan
 from specturan.harness import (
     ExperimentConfig,
@@ -12,6 +14,7 @@ from specturan.harness import (
     _clique_counts,
     _exact_flag,
     _joint_sizes_vector,
+    _mask_classes,
     _neighbor_rows,
     run_exhaustive,
     run_experiment,
@@ -20,7 +23,7 @@ from specturan.harness import (
     run_tightness,
 )
 from specturan.rng import SplitMix64
-from specturan.spectral import spectral_radius
+from specturan.spectral import spectral_radius, turan_mu_exact
 from specturan.subgraph import count_cliques, joint_size
 from specturan.theorems import (
     CHECKS,
@@ -30,6 +33,31 @@ from specturan.theorems import (
     run_check,
     turan_edge_count,
 )
+from oracles import canonical_mask
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _approx_floats(value):
+    """A JSON value with every float wrapped for 1e-12 comparison."""
+    if isinstance(value, dict):
+        return {k: _approx_floats(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_approx_floats(v) for v in value]
+    if isinstance(value, float):
+        return pytest.approx(value, rel=0, abs=1e-12)
+    return value
+
+
+def _all_masks(n):
+    return np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
+
+
+def _sample_masks(n, count, seed):
+    total = 1 << (n * (n - 1) // 2)
+    rng = SplitMix64(seed)
+    return np.array(sorted({rng.below(total) for _ in range(count)}), dtype=np.uint32)
 
 
 class TestConfig:
@@ -107,13 +135,8 @@ class TestConfig:
 class TestVectorKernelsAgainstScalar:
     """The exhaustive engine must agree with the scalar library paths."""
 
-    def sample_masks(self, n, count, seed):
-        total = 1 << (n * (n - 1) // 2)
-        rng = SplitMix64(seed)
-        return np.array(sorted({rng.below(total) for _ in range(count)}), dtype=np.uint32)
-
     def test_clique_counts(self):
-        masks = self.sample_masks(6, 120, 5)
+        masks = _sample_masks(6, 120, 5)
         for q in (2, 3, 4):
             vec = _clique_counts(masks, 6, q)
             for i, mask in enumerate(masks):
@@ -121,7 +144,7 @@ class TestVectorKernelsAgainstScalar:
                 assert vec[i] == count_cliques(g, q).count
 
     def test_joint_sizes(self):
-        masks = self.sample_masks(6, 80, 6)
+        masks = _sample_masks(6, 80, 6)
         rows = _neighbor_rows(masks, 6)
         for r in (2, 3, 4):
             vec = _joint_sizes_vector(masks, rows, 6, r)
@@ -130,7 +153,7 @@ class TestVectorKernelsAgainstScalar:
                 assert vec[i] == joint_size(g, r).size
 
     def test_batched_mu_matches_scalar(self):
-        masks = self.sample_masks(7, 150, 8)
+        masks = _sample_masks(7, 150, 8)
         rows = _neighbor_rows(masks, 7)
         value, resid, conv = _batched_mu(rows, 7, 1e-10, 1700)
         for i, mask in enumerate(masks):
@@ -138,6 +161,108 @@ class TestVectorKernelsAgainstScalar:
             est = spectral_radius(g)
             if conv[i] and est.converged:
                 assert value[i] == pytest.approx(est.value, abs=1e-8)
+
+
+class TestIsomorphismClasses:
+    """The orbit partition behind class-based exhaustive scans."""
+
+    A000088 = (1, 1, 2, 4, 11, 34, 156, 1044)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_class_counts_and_orbit_sizes(self, n):
+        masks = _all_masks(n)
+        reps, class_of = _mask_classes(n, masks)
+        assert len(reps) == self.A000088[n]
+        sizes = np.bincount(class_of, minlength=len(reps))
+        assert int(sizes.sum()) == 1 << (n * (n - 1) // 2)
+        assert all(math.factorial(n) % int(s) == 0 for s in sizes)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_representative_is_smallest_mask_of_its_class(self, n):
+        masks = _all_masks(n)
+        reps, class_of = _mask_classes(n, masks)
+        smallest = np.full(len(reps), masks.max(), dtype=masks.dtype)
+        np.minimum.at(smallest, class_of, masks)
+        assert np.array_equal(smallest, reps)
+        assert np.array_equal(class_of[reps], np.arange(len(reps)))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_classes_match_oracle_canonical_forms(self, n):
+        masks = _all_masks(n)
+        reps, class_of = _mask_classes(n, masks)
+        canon = [canonical_mask(n, int(m)) for m in masks]
+        # Two masks share a class exactly when their canonical forms agree.
+        class_of_canon: dict[int, int] = {}
+        for m, form in enumerate(canon):
+            assert class_of_canon.setdefault(form, int(class_of[m])) == class_of[m]
+        assert len(class_of_canon) == len(reps)
+        assert [int(reps[class_of[m]]) for m in masks] == canon
+
+    def test_sample_gets_identity_partition(self):
+        masks = _sample_masks(7, 50, 4)
+        reps, class_of = _mask_classes(7, masks)
+        assert reps is masks
+        assert np.array_equal(class_of, np.arange(len(masks)))
+
+
+class TestClassBroadcast:
+    """Class estimates broadcast to masks agree with per-mask estimates."""
+
+    @staticmethod
+    def classify(value, resid, conv, mu_t, tol=1e-10):
+        greater = conv & (value - resid > mu_t + tol)
+        not_greater = conv & (value + resid < mu_t - tol)
+        return greater, not_greater, ~(greater | not_greater)
+
+    @pytest.mark.parametrize("n, sample", [(6, 0), (7, 2000)])
+    def test_broadcast_matches_per_mask(self, n, sample):
+        masks = _sample_masks(n, sample, 12) if sample else _all_masks(n)
+        reps, class_of = _mask_classes(n, _all_masks(n))
+        cls = class_of[masks]
+        per_mask = _batched_mu(_neighbor_rows(masks, n), n, 1e-10, 100 * n + 1000)
+        per_class = _batched_mu(_neighbor_rows(reps, n), n, 1e-10, 100 * n + 1000)
+        value, resid, conv = (a[cls] for a in per_class)
+        assert np.array_equal(conv, per_mask[2])
+        assert np.abs(value - per_mask[0]).max() <= 1e-12
+        assert np.abs(resid - per_mask[1]).max() <= 1e-12
+        for r in (2, 3):
+            mu_t = turan_mu_exact(n, r)
+            expected = self.classify(*per_mask, mu_t)
+            for got, want in zip(self.classify(value, resid, conv, mu_t), expected):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_full_scan_distributions_match_per_mask(self, r):
+        n = 6
+        masks = _all_masks(n)
+        cfg = ExperimentConfig(
+            mode="exhaustive", n_min=n, n_max=n, r=r, checks=("lenslmm",)
+        )
+        dist = run_exhaustive(cfg).stats[f"n={n}"]["distributions"]
+        for q in range(2, r + 2):
+            assert dist[f"k_{q}"] == np.bincount(_clique_counts(masks, n, q)).tolist()
+        js = _joint_sizes_vector(masks, _neighbor_rows(masks, n), n, r + 1)
+        assert dist[f"js_{r + 1}"] == np.bincount(js).tolist()
+
+    def test_one_exact_call_per_tied_class(self, monkeypatch):
+        calls = []
+        exact = harness.compare_mu_exact_multipartite
+
+        def counting(g, sizes):
+            calls.append(g)
+            return exact(g, sizes)
+
+        monkeypatch.setattr(harness, "compare_mu_exact_multipartite", counting)
+        cfg = ExperimentConfig(
+            mode="exhaustive", n_min=7, n_max=7, r=3, checks=("stt",), stats=0
+        )
+        rep = run_exhaustive(cfg)
+        assert len(calls) == 2
+        log = rep.inconclusive_log
+        assert len(log) == 140
+        assert [e["mask"] for e in log] == sorted(e["mask"] for e in log)
+        assert all(e["stage"] == "exact" for e in log)
+        assert rep.counterexamples == []
 
 
 class TestExhaustive:
@@ -186,6 +311,30 @@ class TestExhaustive:
         rep = run_exhaustive(cfg)
         assert rep.counterexamples == []
         assert rep.stats["n=6"]["graphs"] == 100
+
+    @pytest.mark.parametrize(
+        "recorded, settings",
+        [
+            # A sampled scan keeps one class per mask.
+            (
+                "exhaustive_sample_n6_r2.json",
+                dict(n_min=6, n_max=6, r=2, sample_cap=500, seed=2),
+            ),
+            # A full scan evaluates classes; counts and logs are per mask.
+            ("exhaustive_full_r3.json", dict(n_min=1, n_max=7, r=3)),
+        ],
+    )
+    def test_report_matches_per_mask_recording(self, recorded, settings):
+        # Recorded from the scan that evaluated every mask on its own; only
+        # float minima may move, by rounding, between labellings of a class.
+        cfg = ExperimentConfig(
+            mode="exhaustive",
+            checks=("stt", "lenslmm", "edge-spectral", "tsize"),
+            **settings,
+        )
+        got = json.loads(run_exhaustive(cfg).to_json_text())
+        want = json.loads((DATA / recorded).read_text())
+        assert got == _approx_floats(want)
 
     def test_no_false_counterexamples_up_to_n6(self):
         # module invariant: zero (yes, no) records over every labeled graph
