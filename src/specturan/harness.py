@@ -9,15 +9,17 @@ The exhaustive mode enumerates every labeled graph of order n <= 8 by
 edge-mask integer.  Every quantity its checks use is an isomorphism
 invariant, so a full scan first partitions the masks into isomorphism
 classes by orbit marking (2^21 masks, 1044 classes at n = 7) and
-evaluates each class once on its smallest mask: batched power iteration
-on A + I for the spectral hypothesis, exact bit arithmetic for edge,
-clique and joint counts.  Verdicts reach every mask of a class through
-its class id: counts are weighted by class size, and the tie log and
-counterexample records still hold one entry per labeled mask.  A sampled
-scan treats each sampled mask as its own class.  Near-tie spectral
-comparisons are re-run at tol 1e-13 and, if still open, settled exactly
-by algebraic root comparison, once per class, so every instance ends
-with a definite verdict and the tie log stays auditable.
+evaluates each class once on its smallest mask, decoded into a Graph:
+batched power iteration on A + I over the representatives' adjacency rows
+for the spectral hypothesis, and the library's exact counters
+`count_cliques` and `joint_size` for clique and joint counts.  Verdicts
+reach every mask of a class through its class id: counts are weighted by
+class size, and the tie log and counterexample records still hold one
+entry per labeled mask.  A sampled scan treats each sampled mask as its
+own class.  Near-tie spectral comparisons are re-run at tol 1e-13 and, if
+still open, settled exactly by algebraic root comparison, once per class,
+so every instance ends with a definite verdict and the tie log stays
+auditable.
 """
 
 from __future__ import annotations
@@ -51,7 +53,13 @@ from .spectral import (
     spectral_radius,
     turan_mu_exact,
 )
-from .subgraph import SearchStatus, book_size, find_complete_multipartite, joint_size
+from .subgraph import (
+    SearchStatus,
+    book_size,
+    count_cliques,
+    find_complete_multipartite,
+    joint_size,
+)
 from .theorems import (
     CHECKS,
     DEFAULT_B,
@@ -197,73 +205,14 @@ class ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized order-n scan kernels
+# Order-n exhaustive scan: class partition, batched mu, per-class counters
 # ---------------------------------------------------------------------------
-
-
-def _pair_list(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
-def _subset_edge_mask(pairs: Sequence[tuple[int, int]], subset: Sequence[int]) -> int:
-    idx = {p: i for i, p in enumerate(pairs)}
-    m = 0
-    for a, b in itertools.combinations(sorted(subset), 2):
-        m |= 1 << idx[(a, b)]
-    return m
-
-
-def _clique_counts(masks: np.ndarray, n: int, q: int) -> np.ndarray:
-    """k_q for every edge mask; exact, by testing all C(n, q) subsets."""
-    if q == 1:
-        return np.full(masks.shape, n, dtype=np.int64)
-    pairs = _pair_list(n)
-    out = np.zeros(masks.shape, dtype=np.int64)
-    for subset in itertools.combinations(range(n), q):
-        m = _subset_edge_mask(pairs, subset)
-        out += (masks & m) == m
-    return out
-
-
-def _neighbor_rows(masks: np.ndarray, n: int) -> np.ndarray:
-    """(G, n) uint16 array of per-vertex neighbor bitmasks."""
-    rows = np.zeros((masks.shape[0], n), dtype=np.uint16)
-    for idx, (u, v) in enumerate(_pair_list(n)):
-        bit = ((masks >> np.uint32(idx)) & np.uint32(1)).astype(np.uint16)
-        rows[:, u] |= bit << np.uint16(v)
-        rows[:, v] |= bit << np.uint16(u)
-    return rows
-
-
-def _joint_sizes_vector(masks: np.ndarray, rows: np.ndarray, n: int, r: int) -> np.ndarray:
-    """js_r for every mask, r in {2, 3, 4}; exact bit arithmetic."""
-    pairs = _pair_list(n)
-    out = np.zeros(masks.shape, dtype=np.int64)
-    for idx, (u, v) in enumerate(pairs):
-        present = ((masks >> np.uint32(idx)) & np.uint32(1)).astype(bool)
-        common = rows[:, u] & rows[:, v]
-        if r == 2:
-            contrib = np.ones(masks.shape, dtype=np.int64)
-        elif r == 3:
-            contrib = np.bitwise_count(common).astype(np.int64)
-        elif r == 4:
-            contrib = np.zeros(masks.shape, dtype=np.int64)
-            for jdx, (w, x) in enumerate(pairs):
-                e_wx = ((masks >> np.uint32(jdx)) & np.uint32(1)).astype(np.int64)
-                in_cn = (((common >> np.uint16(w)) & 1) & ((common >> np.uint16(x)) & 1)).astype(
-                    np.int64
-                )
-                contrib += e_wx * in_cn
-        else:
-            raise ValueError("vectorized joints support r in {2, 3, 4}")
-        np.maximum(out, np.where(present, contrib, 0), out=out)
-    return out
 
 
 def _permuted_pair_bits(n: int) -> np.ndarray:
     """(n!, C(n, 2)) uint32 table: row p holds, for each pair bit i, the
     single-bit mask of the pair that vertex permutation p sends pair i to."""
-    pairs = np.array(_pair_list(n), dtype=np.int64).reshape(-1, 2)
+    pairs = np.column_stack(np.triu_indices(n, 1))  # lexicographic pair order
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     perms = perms.reshape(math.factorial(n), n)
     a, b = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
@@ -353,15 +302,12 @@ def _batched_mu(
     return value, resid, conv
 
 
-def _resolve_spectral(
-    n: int, r: int, mask: int, tol13: float = 1e-13
-) -> tuple[Verdict, str]:
+def _resolve_spectral(g: Graph, r: int, tol13: float = 1e-13) -> tuple[Verdict, str]:
     """Settle a near-tie mu(G) vs mu(T_r(n)): retry at tol 1e-13, then exact."""
-    g = graph_from_edge_mask(n, int(mask))
     cmp = compare_mu_to_turan(g, r, tol=tol13, max_iter=200_000)
     if cmp.verdict is not Verdict.INCONCLUSIVE:
         return cmp.verdict, "tol13"
-    return compare_mu_exact_multipartite(g, turan_part_sizes(n, r)), "exact"
+    return compare_mu_exact_multipartite(g, turan_part_sizes(g.n, r)), "exact"
 
 
 def _scan_order(
@@ -374,8 +320,9 @@ def _scan_order(
 ) -> dict:
     """Evaluate the exhaustive-mode checks on every mask of one order.
 
-    Every array below is indexed by isomorphism class, not by mask: the
-    kernels run once per class, on its representative.  Only index sets
+    Every array below is indexed by isomorphism class, not by mask: each
+    representative is decoded into a Graph once, and the estimator and the
+    clique and joint counters run on that Graph.  Only index sets
     (tie log, counterexamples, the lenslmm boundary) are expanded to the
     masks of their classes, in mask order, and counts are weighted by the
     number of masks in each class.
@@ -383,12 +330,17 @@ def _scan_order(
     total = int(masks.shape[0])
     reps, class_of = _mask_classes(n, masks)
     size = np.bincount(class_of, minlength=reps.shape[0])  # masks per class
+    graphs = [graph_from_edge_mask(n, int(m)) for m in reps]
     e_arr = np.bitwise_count(reps).astype(np.int64)
-    rows = _neighbor_rows(reps, n)
-    k = {q: _clique_counts(reps, n, q) for q in range(2, min(n, r + 1) + 1)}
+    k = {
+        q: np.array([count_cliques(g, q).count for g in graphs], dtype=np.int64)
+        for q in range(2, min(n, r + 1) + 1)
+    }
 
     def masks_where(flags: np.ndarray) -> np.ndarray:
         """Indices of the masks whose class is flagged, increasing."""
+        if not flags.any():  # skips a gather over every mask
+            return np.zeros(0, dtype=np.int64)
         return np.nonzero(flags[class_of])[0]
 
     def mask_histogram(arr: np.ndarray) -> list[int]:
@@ -405,16 +357,17 @@ def _scan_order(
     zeros = np.zeros(reps.shape[0], dtype=np.int64)
     settled: dict[int, tuple[Verdict, str]] = {}  # class id -> tie resolution
     if need_spectral:
+        rows = np.array([g._adj for g in graphs], dtype=np.uint16)
         value, resid, conv = _batched_mu(rows, n, tol, 100 * n + 1000)
         for c in np.nonzero(~conv)[0]:
-            est = spectral_radius(graph_from_edge_mask(n, int(reps[c])), tol)
+            est = spectral_radius(graphs[c], tol)
             value[c], resid[c] = est.value, est.residual
             conv[c] = est.converged
         greater = conv & (value - resid > mu_t + tol)
         not_greater = conv & (value + resid < mu_t - tol)
         is_open = ~(greater | not_greater)
         for c in np.nonzero(is_open)[0]:
-            verdict, stage = _resolve_spectral(n, r, int(reps[c]))
+            verdict, stage = _resolve_spectral(graphs[c], r)
             settled[int(c)] = (verdict, stage)
             greater[c] = verdict is Verdict.GREATER
         for i in masks_where(is_open):
@@ -513,8 +466,10 @@ def _scan_order(
         dist: dict = {}
         for q, arr in k.items():
             dist[f"k_{q}"] = mask_histogram(arr)
+        # Only for report compatibility: reports have always carried js_{r+1}
+        # for r + 1 <= 4 alone; joint_size itself has no such limit.
         if r + 1 <= 4:
-            js = _joint_sizes_vector(reps, rows, n, r + 1)
+            js = np.array([joint_size(g, r + 1).size for g in graphs], dtype=np.int64)
             dist[f"js_{r + 1}"] = mask_histogram(js)
         out["stats"]["distributions"] = dist
         out["stats"]["edge_count_distribution"] = mask_histogram(e_arr)

@@ -11,11 +11,8 @@ from specturan.harness import (
     ExperimentConfig,
     _apply_check_resolved,
     _batched_mu,
-    _clique_counts,
     _exact_flag,
-    _joint_sizes_vector,
     _mask_classes,
-    _neighbor_rows,
     run_exhaustive,
     run_experiment,
     run_family_sweep,
@@ -58,6 +55,13 @@ def _sample_masks(n, count, seed):
     total = 1 << (n * (n - 1) // 2)
     rng = SplitMix64(seed)
     return np.array(sorted({rng.below(total) for _ in range(count)}), dtype=np.uint32)
+
+
+def _rows(masks, n):
+    """(len(masks), n) uint16 neighbour rows, decoded mask by mask."""
+    return np.array(
+        [graph_from_edge_mask(n, int(m))._adj for m in masks], dtype=np.uint16
+    )
 
 
 class TestConfig:
@@ -135,26 +139,9 @@ class TestConfig:
 class TestVectorKernelsAgainstScalar:
     """The exhaustive engine must agree with the scalar library paths."""
 
-    def test_clique_counts(self):
-        masks = _sample_masks(6, 120, 5)
-        for q in (2, 3, 4):
-            vec = _clique_counts(masks, 6, q)
-            for i, mask in enumerate(masks):
-                g = graph_from_edge_mask(6, int(mask))
-                assert vec[i] == count_cliques(g, q).count
-
-    def test_joint_sizes(self):
-        masks = _sample_masks(6, 80, 6)
-        rows = _neighbor_rows(masks, 6)
-        for r in (2, 3, 4):
-            vec = _joint_sizes_vector(masks, rows, 6, r)
-            for i, mask in enumerate(masks):
-                g = graph_from_edge_mask(6, int(mask))
-                assert vec[i] == joint_size(g, r).size
-
     def test_batched_mu_matches_scalar(self):
         masks = _sample_masks(7, 150, 8)
-        rows = _neighbor_rows(masks, 7)
+        rows = _rows(masks, 7)
         value, resid, conv = _batched_mu(rows, 7, 1e-10, 1700)
         for i, mask in enumerate(masks):
             g = graph_from_edge_mask(7, int(mask))
@@ -219,8 +206,8 @@ class TestClassBroadcast:
         masks = _sample_masks(n, sample, 12) if sample else _all_masks(n)
         reps, class_of = _mask_classes(n, _all_masks(n))
         cls = class_of[masks]
-        per_mask = _batched_mu(_neighbor_rows(masks, n), n, 1e-10, 100 * n + 1000)
-        per_class = _batched_mu(_neighbor_rows(reps, n), n, 1e-10, 100 * n + 1000)
+        per_mask = _batched_mu(_rows(masks, n), n, 1e-10, 100 * n + 1000)
+        per_class = _batched_mu(_rows(reps, n), n, 1e-10, 100 * n + 1000)
         value, resid, conv = (a[cls] for a in per_class)
         assert np.array_equal(conv, per_mask[2])
         assert np.abs(value - per_mask[0]).max() <= 1e-12
@@ -231,18 +218,49 @@ class TestClassBroadcast:
             for got, want in zip(self.classify(value, resid, conv, mu_t), expected):
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("r", [2, 3, 4])
     def test_full_scan_distributions_match_per_mask(self, r):
         n = 6
-        masks = _all_masks(n)
+        graphs = [graph_from_edge_mask(n, int(m)) for m in _all_masks(n)]
         cfg = ExperimentConfig(
             mode="exhaustive", n_min=n, n_max=n, r=r, checks=("lenslmm",)
         )
         dist = run_exhaustive(cfg).stats[f"n={n}"]["distributions"]
-        for q in range(2, r + 2):
-            assert dist[f"k_{q}"] == np.bincount(_clique_counts(masks, n, q)).tolist()
-        js = _joint_sizes_vector(masks, _neighbor_rows(masks, n), n, r + 1)
-        assert dist[f"js_{r + 1}"] == np.bincount(js).tolist()
+        want = {
+            f"k_{q}": np.bincount([count_cliques(g, q).count for g in graphs]).tolist()
+            for q in range(2, r + 2)
+        }
+        if r + 1 <= 4:
+            js = [joint_size(g, r + 1).size for g in graphs]
+            want[f"js_{r + 1}"] = np.bincount(js).tolist()
+        assert dist == want
+
+    def test_one_decode_per_class(self, monkeypatch):
+        decodes, counts = [], []
+        decode, count = harness.graph_from_edge_mask, harness.count_cliques
+
+        def counting_decode(n, mask):
+            decodes.append(mask)
+            return decode(n, mask)
+
+        def counting_count(g, q):
+            counts.append(q)
+            return count(g, q)
+
+        monkeypatch.setattr(harness, "graph_from_edge_mask", counting_decode)
+        monkeypatch.setattr(harness, "count_cliques", counting_count)
+        cfg = ExperimentConfig(
+            mode="exhaustive",
+            n_min=7,
+            n_max=7,
+            r=3,
+            checks=("stt", "lenslmm", "edge-spectral"),
+            stats=0,
+        )
+        rep = run_exhaustive(cfg)
+        assert len(decodes) == len(set(decodes)) == 1044
+        assert len(counts) == 3 * 1044
+        assert len(rep.inconclusive_log) == 140
 
     def test_one_exact_call_per_tied_class(self, monkeypatch):
         calls = []
