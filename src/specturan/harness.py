@@ -10,16 +10,15 @@ edge-mask integer.  Every quantity its checks use is an isomorphism
 invariant, so a full scan first partitions the masks into isomorphism
 classes by orbit marking (2^21 masks, 1044 classes at n = 7) and
 evaluates each class once on its smallest mask, decoded into a Graph:
-batched power iteration on A + I over the representatives' adjacency rows
-for the spectral hypothesis, and the library's exact counters
-`count_cliques` and `joint_size` for clique and joint counts.  Verdicts
+`spectral.spectral_radii` and `spectral.interval_flags` estimate and
+compare mu for the spectral hypothesis, and the library's exact counters
+`count_cliques` and `joint_size` give clique and joint counts.  Verdicts
 reach every mask of a class through its class id: counts are weighted by
 class size, and the tie log and counterexample records still hold one
 entry per labeled mask.  A sampled scan treats each sampled mask as its
-own class.  Near-tie spectral comparisons are re-run at tol 1e-13 and, if
-still open, settled exactly by algebraic root comparison, once per class,
-so every instance ends with a definite verdict and the tie log stays
-auditable.
+own class.  Spectral comparisons the interval leaves open are settled
+exactly by algebraic root comparison, once per class, so every instance
+ends with a definite verdict and the tie log stays auditable.
 """
 
 from __future__ import annotations
@@ -48,9 +47,9 @@ from .spectral import (
     Verdict,
     compare_mu_exact_multipartite,
     compare_mu_to_threshold,
-    compare_mu_to_turan,
     exact_mu_greater_than_rational,
-    spectral_radius,
+    interval_flags,
+    spectral_radii,
     turan_mu_exact,
 )
 from .subgraph import (
@@ -102,6 +101,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_min > self.n_max:
             raise ValueError("empty n range")
+        if self.mode != "tightness" and self.n_min < 1:
+            raise ValueError(f"{self.mode} mode needs n_min >= 1")
         if self.mode == "exhaustive" and self.n_max > MAX_EXHAUSTIVE_N:
             raise ValueError(f"exhaustive mode caps at n <= {MAX_EXHAUSTIVE_N}")
         if self.mode == "exhaustive":
@@ -255,61 +256,6 @@ def _mask_classes(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(reps, dtype=masks.dtype), class_of
 
 
-def _batched_mu(
-    rows: np.ndarray, n: int, tol: float, max_iter: int, chunk: int = 1 << 16
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched power iteration on A + I over whole graphs.
-
-    Same iteration and convergence rule as spectral.spectral_radius, but on
-    the full matrix rather than per component; graphs that fail to converge
-    here are re-run through the scalar per-component path by the caller.
-    Returns (value, residual, converged).
-    """
-    total = rows.shape[0]
-    value = np.zeros(total)
-    resid = np.zeros(total)
-    conv = np.zeros(total, dtype=bool)
-    shifts = np.arange(n, dtype=np.uint16)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        sub = rows[lo:hi]
-        a = ((sub[:, :, None] >> shifts[None, None, :]) & 1).astype(np.float64)
-        B = a.shape[0]
-        x = np.full((B, n), 1.0 / math.sqrt(n))
-        rho_prev = np.full(B, np.inf)
-        val = np.full(B, 1.0)
-        res = np.zeros(B)
-        done = np.zeros(B, dtype=bool)
-        active = np.arange(B)
-        for _ in range(max_iter):
-            xa = x[active]
-            y = np.einsum("bij,bj->bi", a[active], xa) + xa
-            rho = np.einsum("bi,bi->b", xa, y)
-            r_now = np.max(np.abs(y - rho[:, None] * xa), axis=1)
-            val[active] = rho
-            res[active] = r_now
-            finished = (np.abs(rho - rho_prev[active]) < tol) & (r_now <= 10.0 * tol)
-            done[active[finished]] = True
-            norms = np.linalg.norm(y, axis=1)
-            x[active] = y / norms[:, None]
-            rho_prev[active] = rho
-            active = active[~finished]
-            if active.size == 0:
-                break
-        value[lo:hi] = val - 1.0
-        resid[lo:hi] = res
-        conv[lo:hi] = done
-    return value, resid, conv
-
-
-def _resolve_spectral(g: Graph, r: int, tol13: float = 1e-13) -> tuple[Verdict, str]:
-    """Settle a near-tie mu(G) vs mu(T_r(n)): retry at tol 1e-13, then exact."""
-    cmp = compare_mu_to_turan(g, r, tol=tol13, max_iter=200_000)
-    if cmp.verdict is not Verdict.INCONCLUSIVE:
-        return cmp.verdict, "tol13"
-    return compare_mu_exact_multipartite(g, turan_part_sizes(g.n, r)), "exact"
-
-
 def _scan_order(
     n: int,
     r: int,
@@ -355,30 +301,23 @@ def _scan_order(
         "instances": 0,
     }
     zeros = np.zeros(reps.shape[0], dtype=np.int64)
-    settled: dict[int, tuple[Verdict, str]] = {}  # class id -> tie resolution
+    settled: dict[int, Verdict] = {}  # class id -> exact tie resolution
     if need_spectral:
-        rows = np.array([g._adj for g in graphs], dtype=np.uint16)
-        value, resid, conv = _batched_mu(rows, n, tol, 100 * n + 1000)
-        for c in np.nonzero(~conv)[0]:
-            est = spectral_radius(graphs[c], tol)
-            value[c], resid[c] = est.value, est.residual
-            conv[c] = est.converged
-        greater = conv & (value - resid > mu_t + tol)
-        not_greater = conv & (value + resid < mu_t - tol)
+        value, resid, conv = spectral_radii(graphs, tol)
+        greater, not_greater = interval_flags(value, resid, conv, mu_t, tol)
         is_open = ~(greater | not_greater)
+        parts = turan_part_sizes(n, r)
         for c in np.nonzero(is_open)[0]:
-            verdict, stage = _resolve_spectral(graphs[c], r)
-            settled[int(c)] = (verdict, stage)
-            greater[c] = verdict is Verdict.GREATER
+            settled[int(c)] = compare_mu_exact_multipartite(graphs[c], parts)
+            greater[c] = settled[int(c)] is Verdict.GREATER
         for i in masks_where(is_open):
-            verdict, stage = settled[int(class_of[i])]
             out["inconclusive_log"].append(
                 {
                     "n": n,
                     "r": r,
                     "mask": int(masks[i]),
-                    "stage": stage,
-                    "resolution": verdict.value,
+                    "stage": "exact",
+                    "resolution": settled[int(class_of[i])].value,
                 }
             )
 
@@ -390,7 +329,7 @@ def _scan_order(
             payload["mask"] = int(masks[i])
             tie = settled.get(int(class_of[i]))
             if tie is not None:
-                payload["spectral_resolved_exactly"] = tie[0].value
+                payload["spectral_resolved_exactly"] = tie.value
             if payload["graph"] is None:
                 from .graph import write_edge_list
 

@@ -41,8 +41,3 @@ class SplitMix64:
             w = self.next_u64()
             if w < limit:
                 return w % bound
-
-    def derive(self, index: int) -> "SplitMix64":
-        """Child stream for trial `index`, independent of draws made so far."""
-        probe = SplitMix64((self._state ^ (index * _GAMMA)) & _MASK64)
-        return SplitMix64(probe.next_u64())

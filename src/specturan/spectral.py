@@ -1,21 +1,21 @@
-"""Largest adjacency eigenvalue: iterative estimate, exact multipartite
-solver, and certified comparisons.
+"""Largest adjacency eigenvalue: iterative estimates, exact multipartite
+solver, and certified comparisons; no other module estimates or compares mu.
 
 The estimator is power iteration on A + I (the shift defeats the +/-mu
-oscillation of bipartite spectra), run separately on every connected
-component so each run has a simple dominant eigenvalue; the reported value
-is the max over components.  For complete multipartite graphs the
-nontrivial eigenvalues solve sum_i s_i/(lam + s_i) = 1, which is strictly
-decreasing in lam, so the largest eigenvalue comes out of a bisection with
-no linear-algebra dependency; that solver doubles as an independent oracle
+oscillation of bipartite spectra).  `spectral_radius` runs it on every
+connected component, so each run has a simple dominant eigenvalue, and
+reports the max; `spectral_radii` runs it on many whole graphs of one order
+at once and hands the unconverged ones to `spectral_radius`.  Both loops
+stop by `_converged`.  For complete multipartite graphs the nontrivial
+eigenvalues solve sum_i s_i/(lam + s_i) = 1, which is strictly decreasing
+in lam, so the largest eigenvalue comes out of a bisection with no
+linear-algebra dependency; that solver doubles as an independent oracle
 for the power iteration.
 
-Comparisons against mu(T_r(n)) are interval-certified: the iterative
-estimate is widened by its residual, the exact value by the solver
-tolerance, and overlapping intervals yield INCONCLUSIVE rather than a
-silent float decision.  A sympy-backed exact algebraic comparison is
-available to settle the handful of genuine near-ties an exhaustive scan
-produces.
+Every comparison goes through `interval_flags`: the estimate is widened by
+its residual, the reference by a tolerance, and overlapping intervals yield
+INCONCLUSIVE rather than a silent float decision.  A sympy-backed exact
+algebraic comparison settles the genuine ties an exhaustive scan produces.
 """
 
 from __future__ import annotations
@@ -33,10 +33,18 @@ from .graph import Graph, PartSpec, turan_part_sizes
 
 DEFAULT_TOL = 1e-10
 EXACT_SOLVER_TOL = 1e-12
+_BATCH_CHUNK = 1 << 16  # graphs per batched power-iteration pass
 
 
 def default_max_iter(n: int) -> int:
     return 100 * n + 1000
+
+
+def _converged(rho, rho_prev, res, tol):
+    """The stopping rule of both power iterations, for floats or arrays:
+    the Rayleigh quotient moved by less than tol and the residual is at
+    most 10 tol."""
+    return (abs(rho - rho_prev) < tol) & (res <= 10.0 * tol)
 
 
 @dataclass(frozen=True)
@@ -86,7 +94,7 @@ def _component_power_iteration(
         rho = float(x @ y)
         res = float(np.max(np.abs(y - rho * x)))
         iters += 1
-        if abs(rho - rho_prev) < tol and res <= 10.0 * tol:
+        if _converged(rho, rho_prev, res, tol):
             converged = True
             break
         rho_prev = rho
@@ -125,6 +133,58 @@ def spectral_radius(
             best_rho = rho
             best_res = res
     return SpectralEstimate(best_rho - 1.0, best_res, total_iters, all_converged)
+
+
+def spectral_radii(
+    graphs: Sequence[Graph], tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mu of graphs of one order n >= 1: (value, residual, converged) arrays.
+
+    Batched power iteration on A + I over whole graphs, with the stopping
+    rule and iteration cap of `spectral_radius`.  A graph left unconverged
+    (on the full matrix two components can share the dominant eigenvalue)
+    gets the entries of its `spectral_radius` estimate instead.
+    """
+    n = graphs[0].n if graphs else 0
+    if n == 0 or any(g.n != n for g in graphs):
+        raise ValueError("spectral_radii needs graphs of one order n >= 1")
+    total = len(graphs)
+    nbytes = (n + 7) // 8
+    buf = b"".join(row.to_bytes(nbytes, "little") for g in graphs for row in g._adj)
+    stack = np.unpackbits(
+        np.frombuffer(buf, dtype=np.uint8).reshape(total, n, nbytes),
+        axis=2,
+        bitorder="little",
+    )[:, :, :n]
+    value, resid = np.ones(total), np.zeros(total)
+    conv = np.zeros(total, dtype=bool)
+    for lo in range(0, total, _BATCH_CHUNK):
+        a = stack[lo : lo + _BATCH_CHUNK].astype(np.float64)
+        B = a.shape[0]
+        val, res, done = value[lo : lo + B], resid[lo : lo + B], conv[lo : lo + B]
+        x = np.full((B, n), 1.0 / math.sqrt(n))
+        rho_prev = np.full(B, np.inf)
+        active = np.arange(B)
+        for _ in range(default_max_iter(n)):
+            xa = x[active]
+            y = np.einsum("bij,bj->bi", a[active], xa) + xa
+            rho = np.einsum("bi,bi->b", xa, y)
+            r_now = np.max(np.abs(y - rho[:, None] * xa), axis=1)
+            val[active] = rho
+            res[active] = r_now
+            finished = _converged(rho, rho_prev[active], r_now, tol)
+            done[active[finished]] = True
+            norms = np.linalg.norm(y, axis=1)
+            x[active] = y / norms[:, None]
+            rho_prev[active] = rho
+            active = active[~finished]
+            if active.size == 0:
+                break
+        val -= 1.0
+    for c in np.flatnonzero(~conv):
+        est = spectral_radius(graphs[c], tol)
+        value[c], resid[c], conv[c] = est.value, est.residual, est.converged
+    return value, resid, conv
 
 
 def _grouped_sizes(sizes: Sequence[int]) -> list[tuple[int, int]]:
@@ -193,25 +253,28 @@ def multipartite_mu_at_least(sizes: Sequence[int], x: Fraction) -> bool:
     return total >= 1
 
 
-def _classify(
-    est: SpectralEstimate, reference: float, ref_tol: float
-) -> Verdict:
-    if not est.converged:
-        return Verdict.INCONCLUSIVE
-    lo = est.value - est.residual
-    hi = est.value + est.residual
-    if lo > reference + ref_tol:
+def interval_flags(value, residual, converged, reference, ref_tol):
+    """The interval rule of every certified comparison of mu with a
+    reference: (greater, not_greater).
+
+    mu > reference is certified when value - residual exceeds
+    reference + ref_tol, and mu < reference when value + residual stays
+    below reference - ref_tol; an unconverged estimate certifies neither.
+    Takes floats, Fractions (exact) or numpy arrays (elementwise flags).
+    """
+    greater = converged & (value - residual > reference + ref_tol)
+    not_greater = converged & (value + residual < reference - ref_tol)
+    return greater, not_greater
+
+
+def _verdict(greater: bool, not_greater: bool) -> Verdict:
+    if greater:
         return Verdict.GREATER
-    if hi < reference - ref_tol:
-        return Verdict.NOT_GREATER
-    return Verdict.INCONCLUSIVE
+    return Verdict.NOT_GREATER if not_greater else Verdict.INCONCLUSIVE
 
 
 def compare_mu_to_turan(
-    g: Graph,
-    r: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
+    g: Graph, r: int, tol: float = DEFAULT_TOL
 ) -> SpectralComparison:
     """Certified comparison of mu(G) against mu(T_r(n)), n = |G|.
 
@@ -223,35 +286,26 @@ def compare_mu_to_turan(
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     mu_t = turan_mu_exact(g.n, r, tol=min(tol, EXACT_SOLVER_TOL))
-    est = spectral_radius(g, tol=tol, max_iter=max_iter)
-    return SpectralComparison(est, mu_t, _classify(est, mu_t, tol))
+    est = spectral_radius(g, tol=tol)
+    flags = interval_flags(est.value, est.residual, est.converged, mu_t, tol)
+    return SpectralComparison(est, mu_t, _verdict(*flags))
 
 
 def compare_mu_to_threshold(
-    g: Graph,
-    threshold: Fraction,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
+    g: Graph, threshold: Fraction, tol: float = DEFAULT_TOL
 ) -> SpectralComparison:
     """Certified comparison of mu(G) against an exact rational threshold.
 
-    The estimate interval is widened by the residual plus tol; tol covers
-    the floating-point bias of the Rayleigh evaluation itself, which the
-    residual alone does not (an exact tie can otherwise round to the wrong
-    side).  Callers working far above n ~ 1000 should scale tol up with
-    n^2 * eps.
+    The estimate interval is widened by the residual plus tol, in exact
+    rational arithmetic; tol covers the floating-point bias of the Rayleigh
+    evaluation itself, which the residual alone does not (an exact tie can
+    otherwise round to the wrong side).  Callers working far above
+    n ~ 1000 should scale tol up with n^2 * eps.
     """
-    est = spectral_radius(g, tol=tol, max_iter=max_iter)
-    slack = Fraction(est.residual) + Fraction(tol)
-    if not est.converged:
-        verdict = Verdict.INCONCLUSIVE
-    elif Fraction(est.value) - slack > threshold:
-        verdict = Verdict.GREATER
-    elif Fraction(est.value) + slack < threshold:
-        verdict = Verdict.NOT_GREATER
-    else:
-        verdict = Verdict.INCONCLUSIVE
-    return SpectralComparison(est, float(threshold), verdict)
+    est = spectral_radius(g, tol=tol)
+    value, residual = Fraction(est.value), Fraction(est.residual)
+    flags = interval_flags(value, residual, est.converged, threshold, Fraction(tol))
+    return SpectralComparison(est, float(threshold), _verdict(*flags))
 
 
 def _multipartite_char_poly_expr(sizes: Sequence[int]):

@@ -10,7 +10,6 @@ from specturan.graph import graph_from_edge_mask, make_turan
 from specturan.harness import (
     ExperimentConfig,
     _apply_check_resolved,
-    _batched_mu,
     _exact_flag,
     _mask_classes,
     run_exhaustive,
@@ -20,7 +19,12 @@ from specturan.harness import (
     run_tightness,
 )
 from specturan.rng import SplitMix64
-from specturan.spectral import spectral_radius, turan_mu_exact
+from specturan.spectral import (
+    interval_flags,
+    spectral_radii,
+    spectral_radius,
+    turan_mu_exact,
+)
 from specturan.subgraph import count_cliques, joint_size
 from specturan.theorems import (
     CHECKS,
@@ -57,11 +61,8 @@ def _sample_masks(n, count, seed):
     return np.array(sorted({rng.below(total) for _ in range(count)}), dtype=np.uint32)
 
 
-def _rows(masks, n):
-    """(len(masks), n) uint16 neighbour rows, decoded mask by mask."""
-    return np.array(
-        [graph_from_edge_mask(n, int(m))._adj for m in masks], dtype=np.uint16
-    )
+def _graphs(masks, n):
+    return [graph_from_edge_mask(n, int(m)) for m in masks]
 
 
 class TestConfig:
@@ -91,6 +92,11 @@ class TestConfig:
             (("checks=stt,tsize",), "error: check 'tsize' has no per-graph path"),
             (("checks=stt,t2",), "error: check 't2' needs c > 0"),
             (("checks=thv4", "c=0"), "error: check 'thv4' needs c > 0"),
+            (("mode=exhaustive", "n_min=0", "n_max=2", "r=2", "checks=stt"),
+             "error: exhaustive mode needs n_min >= 1"),
+            (("n_min=0", "checks=stt"), "error: family_sweep mode needs n_min >= 1"),
+            (("mode=random_hunt", "n_min=0", "checks=stt"),
+             "error: random_hunt mode needs n_min >= 1"),
         ],
     )
     def test_impossible_check_rejected_before_any_graph(
@@ -140,14 +146,13 @@ class TestVectorKernelsAgainstScalar:
     """The exhaustive engine must agree with the scalar library paths."""
 
     def test_batched_mu_matches_scalar(self):
-        masks = _sample_masks(7, 150, 8)
-        rows = _rows(masks, 7)
-        value, resid, conv = _batched_mu(rows, 7, 1e-10, 1700)
-        for i, mask in enumerate(masks):
-            g = graph_from_edge_mask(7, int(mask))
+        graphs = _graphs(_sample_masks(7, 150, 8), 7)
+        value, resid, conv = spectral_radii(graphs, 1e-10)
+        assert conv.all()
+        for i, g in enumerate(graphs):
             est = spectral_radius(g)
-            if conv[i] and est.converged:
-                assert value[i] == pytest.approx(est.value, abs=1e-8)
+            assert est.converged
+            assert abs(value[i] - est.value) <= 1e-12
 
 
 class TestIsomorphismClasses:
@@ -197,8 +202,7 @@ class TestClassBroadcast:
 
     @staticmethod
     def classify(value, resid, conv, mu_t, tol=1e-10):
-        greater = conv & (value - resid > mu_t + tol)
-        not_greater = conv & (value + resid < mu_t - tol)
+        greater, not_greater = interval_flags(value, resid, conv, mu_t, tol)
         return greater, not_greater, ~(greater | not_greater)
 
     @pytest.mark.parametrize("n, sample", [(6, 0), (7, 2000)])
@@ -206,8 +210,8 @@ class TestClassBroadcast:
         masks = _sample_masks(n, sample, 12) if sample else _all_masks(n)
         reps, class_of = _mask_classes(n, _all_masks(n))
         cls = class_of[masks]
-        per_mask = _batched_mu(_rows(masks, n), n, 1e-10, 100 * n + 1000)
-        per_class = _batched_mu(_rows(reps, n), n, 1e-10, 100 * n + 1000)
+        per_mask = spectral_radii(_graphs(masks, n), 1e-10)
+        per_class = spectral_radii(_graphs(reps, n), 1e-10)
         value, resid, conv = (a[cls] for a in per_class)
         assert np.array_equal(conv, per_mask[2])
         assert np.abs(value - per_mask[0]).max() <= 1e-12
@@ -262,7 +266,10 @@ class TestClassBroadcast:
         assert len(counts) == 3 * 1044
         assert len(rep.inconclusive_log) == 140
 
-    def test_one_exact_call_per_tied_class(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "r, tied_classes, ties", [(2, 1, 35), (3, 2, 140), (4, 1, 105)]
+    )
+    def test_one_exact_call_per_tied_class(self, r, tied_classes, ties, monkeypatch):
         calls = []
         exact = harness.compare_mu_exact_multipartite
 
@@ -272,14 +279,15 @@ class TestClassBroadcast:
 
         monkeypatch.setattr(harness, "compare_mu_exact_multipartite", counting)
         cfg = ExperimentConfig(
-            mode="exhaustive", n_min=7, n_max=7, r=3, checks=("stt",), stats=0
+            mode="exhaustive", n_min=7, n_max=7, r=r, checks=("stt",), stats=0
         )
         rep = run_exhaustive(cfg)
-        assert len(calls) == 2
         log = rep.inconclusive_log
-        assert len(log) == 140
+        assert len(log) == ties
         assert [e["mask"] for e in log] == sorted(e["mask"] for e in log)
         assert all(e["stage"] == "exact" for e in log)
+        assert len(calls) == tied_classes
+        assert len({canonical_mask(7, e["mask"]) for e in log}) == tied_classes
         assert rep.counterexamples == []
 
 

@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+
+from specturan import spectral
 
 from oracles import eig_mu
 from specturan.graph import (
@@ -20,8 +23,10 @@ from specturan.spectral import (
     compare_mu_to_threshold,
     compare_mu_to_turan,
     exact_mu_greater_than_rational,
+    interval_flags,
     multipartite_mu_at_least,
     multipartite_mu_exact,
+    spectral_radii,
     spectral_radius,
     turan_mu_exact,
 )
@@ -109,6 +114,84 @@ class TestSpectralRadius:
             est = spectral_radius(g)
             assert est.converged
             assert est.value == pytest.approx(eig_mu(g), abs=1e-8)
+
+
+def _path_union(a, b):
+    """P_a on vertices 0..a-1 and P_b on the next b vertices."""
+    edges = [(i, i + 1) for i in range(a - 1)]
+    edges += [(a + i, a + i + 1) for i in range(b - 1)]
+    return Graph.from_edges(a + b, edges)
+
+
+class TestSpectralRadii:
+    def test_fallback_runs_unconverged_graphs_through_spectral_radius(
+        self, monkeypatch
+    ):
+        # mu(P_30) and mu(P_31) are too close for the whole-matrix iteration
+        # to converge within the cap; the per-component path separates them.
+        graphs = [_path_union(30, 31), _path_union(31, 30)]
+        calls = []
+        scalar = spectral.spectral_radius
+
+        def counting(g, tol):
+            calls.append(g)
+            return scalar(g, tol)
+
+        monkeypatch.setattr(spectral, "spectral_radius", counting)
+        value, resid, conv = spectral_radii(graphs, 1e-10)
+        assert calls == graphs
+        for i, g in enumerate(graphs):
+            est = scalar(g)
+            assert (value[i], resid[i], conv[i]) == (
+                est.value,
+                est.residual,
+                est.converged,
+            )
+
+    def test_rejects_order_zero_and_mixed_orders(self):
+        with pytest.raises(ValueError):
+            spectral_radii([Graph(0)])
+        with pytest.raises(ValueError):
+            spectral_radii([])
+        with pytest.raises(ValueError):
+            spectral_radii([Graph(3), Graph(4)])
+
+
+class TestIntervalFlags:
+    # (value, residual, converged, reference, ref_tol) -> (greater, not_greater)
+    CASES = [
+        ((3.5, 0.25, True, 3.0, 0.125), (True, False)),
+        ((2.5, 0.25, True, 3.0, 0.125), (False, True)),
+        ((3.25, 0.25, True, 3.0, 0.125), (False, False)),
+        ((3.5, 0.25, False, 3.0, 0.125), (False, False)),
+        ((2.5, 0.25, False, 3.0, 0.125), (False, False)),
+        # value - residual == reference + ref_tol exactly: no flag
+        ((3.375, 0.25, True, 3.0, 0.125), (False, False)),
+        # value + residual == reference - ref_tol exactly: no flag
+        ((2.625, 0.25, True, 3.0, 0.125), (False, False)),
+    ]
+
+    @pytest.mark.parametrize("args, want", CASES)
+    def test_float_fraction_and_array_agree(self, args, want):
+        value, residual, converged, reference, ref_tol = args
+        as_float = interval_flags(*args)
+        as_fraction = interval_flags(
+            Fraction(value),
+            Fraction(residual),
+            converged,
+            Fraction(reference),
+            Fraction(ref_tol),
+        )
+        as_array = interval_flags(
+            np.array([value]),
+            np.array([residual]),
+            np.array([converged]),
+            reference,
+            ref_tol,
+        )
+        assert tuple(as_float) == want
+        assert tuple(as_fraction) == want
+        assert tuple(flag.tolist() for flag in as_array) == ([want[0]], [want[1]])
 
 
 class TestMultipartiteMuExact:
