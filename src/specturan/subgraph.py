@@ -149,6 +149,29 @@ def _greedy_colorable(g: Graph, colors: int) -> bool:
     return True
 
 
+def _clique_rec(adj: Sequence[int], cand: int, need: int, out: list[int]) -> bool:
+    """Extend the clique `out` by `need` vertices of `cand`, least first.
+
+    Module-level rather than a closure: a self-recursive closure is a
+    reference cycle that would keep the graph's rows alive until the next
+    garbage collection.
+    """
+    if need == 0:
+        return True
+    if cand.bit_count() < need:
+        return False
+    m = cand
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
+        out.append(v)
+        if _clique_rec(adj, adj[v] & m, need - 1, out):
+            return True
+        out.pop()
+    return False
+
+
 def clique_exists(g: Graph, r: int) -> tuple[int, ...] | None:
     """Lexicographically least r-clique, or None after exhaustive search."""
     if r < 1:
@@ -160,27 +183,8 @@ def clique_exists(g: Graph, r: int) -> tuple[int, ...] | None:
     # A proper (r-1)-coloring certifies absence without search.
     if _greedy_colorable(g, r - 1):
         return None
-    adj = g._adj
     out: list[int] = []
-
-    def rec(cand: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if cand.bit_count() < need:
-            return False
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            out.append(v)
-            if rec(adj[v] & m, need - 1):
-                return True
-            out.pop()
-        return False
-
-    full = (1 << g.n) - 1
-    if rec(full, r):
+    if _clique_rec(g._adj, (1 << g.n) - 1, r, out):
         return tuple(out)
     return None
 
@@ -272,6 +276,30 @@ def joint_size(g: Graph, r: int, with_per_edge: bool = False) -> JointReport:
     return JointReport(r, witness, best, None)
 
 
+def _book_rec(
+    adj: Sequence[int], cand: int, common: int, need: int, stack: list[int], best: list
+) -> None:
+    """Raise best = [size, clique] over the cliques that extend `stack` by
+    `need` vertices of `cand`; `common` is the common neighbourhood of
+    `stack`.  Module-level for the reason given at `_clique_rec`."""
+    if need == 0:
+        size = common.bit_count()
+        if size > best[0]:
+            best[0] = size
+            best[1] = tuple(stack)
+        return
+    if cand.bit_count() < need:
+        return
+    m = cand
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
+        stack.append(v)
+        _book_rec(adj, adj[v] & m, common & adj[v], need - 1, stack, best)
+        stack.pop()
+
+
 def book_size(g: Graph, r: int) -> BookReport:
     """Max |common neighborhood| over r-cliques; witness is the
     lexicographically least maximizing clique."""
@@ -279,35 +307,12 @@ def book_size(g: Graph, r: int) -> BookReport:
         raise ValueError("base clique order must be at least 1")
     if r > g.n:
         return BookReport(r, None, 0)
-    adj = g._adj
-    best = -1
-    best_clique: tuple[int, ...] | None = None
-    stack: list[int] = []
-
-    def rec(cand: int, common: int, need: int) -> None:
-        nonlocal best, best_clique
-        if need == 0:
-            size = common.bit_count()
-            if size > best:
-                best = size
-                best_clique = tuple(stack)
-            return
-        if cand.bit_count() < need:
-            return
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            stack.append(v)
-            rec(adj[v] & m, common & adj[v], need - 1)
-            stack.pop()
-
     full = (1 << g.n) - 1
-    rec(full, full, r)
-    if best < 0:
+    best: list = [-1, None]
+    _book_rec(g._adj, full, full, r, [], best)
+    if best[0] < 0:
         return BookReport(r, None, 0)
-    return BookReport(r, best_clique, best)
+    return BookReport(r, best[1], best[0])
 
 
 def validate_embedding(
@@ -394,66 +399,67 @@ class _Embedder:
         if sum(sizes) > n:
             return None
         full = (1 << n) - 1
-        parts: list[list[int]] = [[] for _ in sizes]
-        suffix_need = [0] * (len(sizes) + 1)
+        self.sizes = sizes
+        self.parts = [[] for _ in sizes]
+        self.suffix_need = [0] * (len(sizes) + 1)
         for j in range(len(sizes) - 1, -1, -1):
-            suffix_need[j] = suffix_need[j + 1] + sizes[j]
+            self.suffix_need[j] = self.suffix_need[j + 1] + sizes[j]
         adj = self.adj
-
-        def fill_part(j: int, base: int) -> bool:
-            if j == len(sizes):
-                return True
-            if base.bit_count() < suffix_need[j]:
-                return False
-            key = (j, base)
-            if key in self.memo_failed:
-                return False
-            if fill_slots(j, len(parts[j]), base, _intersect_members(j, base), -1):
-                return True
-            self.memo_failed.add(key)
-            return False
-
-        def _intersect_members(j: int, base: int) -> int:
-            accum = base
-            for w in parts[j]:
-                accum &= adj[w]
-            return accum
-
-        def fill_slots(j: int, slot: int, base: int, accum: int, last: int) -> bool:
-            if slot == sizes[j]:
-                return fill_part(j + 1, accum)
-            if accum.bit_count() < suffix_need[j + 1]:
-                return False
-            cand = base & ~((1 << (last + 1)) - 1) if last >= 0 else base
-            if cand.bit_count() < sizes[j] - slot:
-                return False
-            m = cand
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                self._charge()
-                parts[j].append(v)
-                if fill_slots(j, slot + 1, base, accum & adj[v], v):
-                    return True
-                parts[j].pop()
-            return False
-
         if pinned_first is not None:
             a, b = pinned_first
-            parts[0] = [a, b]
-            base0 = full & ~((1 << a) | (1 << b))
-            accum0 = adj[a] & adj[b]
             if len(sizes) == 0:
                 return None
             if sizes[0] < 2:
                 raise ValueError("pinned part needs size >= 2")
-            ok = fill_slots(0, 2, base0, accum0, -1)
+            self.parts[0] = [a, b]
+            base0 = full & ~((1 << a) | (1 << b))
+            ok = self._fill_slots(0, 2, base0, adj[a] & adj[b], -1)
         else:
-            ok = fill_part(0, full)
+            ok = self._fill_part(0, full)
         if not ok:
             return None
-        return [list(p) for p in parts]
+        return [list(p) for p in self.parts]
+
+    # Methods, not closures inside `search`, for the reason given at
+    # `_clique_rec`.
+
+    def _fill_part(self, j: int, base: int) -> bool:
+        if j == len(self.sizes):
+            return True
+        if base.bit_count() < self.suffix_need[j]:
+            return False
+        key = (j, base)
+        if key in self.memo_failed:
+            return False
+        accum = base
+        for w in self.parts[j]:
+            accum &= self.adj[w]
+        if self._fill_slots(j, len(self.parts[j]), base, accum, -1):
+            return True
+        self.memo_failed.add(key)
+        return False
+
+    def _fill_slots(self, j: int, slot: int, base: int, accum: int, last: int) -> bool:
+        size = self.sizes[j]
+        if slot == size:
+            return self._fill_part(j + 1, accum)
+        if accum.bit_count() < self.suffix_need[j + 1]:
+            return False
+        cand = base & ~((1 << (last + 1)) - 1) if last >= 0 else base
+        if cand.bit_count() < size - slot:
+            return False
+        adj, part = self.adj, self.parts[j]
+        m = cand
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            self._charge()
+            part.append(v)
+            if self._fill_slots(j, slot + 1, base, accum & adj[v], v):
+                return True
+            part.pop()
+        return False
 
 
 def _sorted_spec(sizes: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -542,6 +548,64 @@ def _two_color(g: Graph) -> tuple[int, ...] | None:
     return tuple(colors)
 
 
+class _CapHit(Exception):
+    pass
+
+
+class _Colorer:
+    """Saturation-ordered backtracking r-coloring with a node cap: the next
+    vertex has the most distinct neighbour colours, then the highest degree,
+    and new colours are opened in first-use order only.  Methods rather
+    than a recursive closure, for the reason given at `_clique_rec`."""
+
+    def __init__(self, g: Graph, r: int, node_cap: int) -> None:
+        self.adj = g._adj
+        self.r = r
+        self.node_cap = node_cap
+        self.colors = [-1] * g.n
+        self.neighbor_colors = [0] * g.n  # bitmask of colors used in each nbhd
+        self.degrees = g.degrees()
+        self.nodes = 0
+
+    def pick(self) -> int:
+        colors, neighbor_colors = self.colors, self.neighbor_colors
+        degrees = self.degrees
+        best_v = -1
+        best_key = (-1, -1)
+        for v in range(len(colors)):
+            if colors[v] != -1:
+                continue
+            key = (neighbor_colors[v].bit_count(), degrees[v])
+            if key > best_key:
+                best_key = key
+                best_v = v
+        return best_v
+
+    def extend(self, done: int, used: int) -> bool:
+        colors, neighbor_colors = self.colors, self.neighbor_colors
+        if done == len(colors):
+            return True
+        v = self.pick()
+        limit = min(self.r, used + 1)
+        avail = ~neighbor_colors[v] & ((1 << limit) - 1)
+        for c in _iter_bits(avail):
+            self.nodes += 1
+            if self.nodes > self.node_cap:
+                raise _CapHit
+            colors[v] = c
+            touched = []
+            for u in _iter_bits(self.adj[v]):
+                if not (neighbor_colors[u] >> c) & 1:
+                    neighbor_colors[u] |= 1 << c
+                    touched.append(u)
+            if self.extend(done + 1, max(used, c + 1)):
+                return True
+            colors[v] = -1
+            for u in touched:
+                neighbor_colors[u] &= ~(1 << c)
+        return False
+
+
 def is_r_partite(
     g: Graph, r: int, node_cap: int = DEFAULT_COLOR_CAP
 ) -> ColoringResult:
@@ -563,55 +627,10 @@ def is_r_partite(
             return ColoringResult(SearchStatus.ABSENT, None)
         return ColoringResult(SearchStatus.FOUND, coloring)
 
-    adj = g._adj
-    n = g.n
-    colors = [-1] * n
-    neighbor_colors = [0] * n  # bitmask of colors used in each vertex's nbhd
-    degrees = g.degrees()
-    nodes = 0
-
-    class _CapHit(Exception):
-        pass
-
-    def pick() -> int:
-        best_v = -1
-        best_key = (-1, -1)
-        for v in range(n):
-            if colors[v] != -1:
-                continue
-            key = (neighbor_colors[v].bit_count(), degrees[v])
-            if key > best_key:
-                best_key = key
-                best_v = v
-        return best_v
-
-    def rec(done: int, used: int) -> bool:
-        nonlocal nodes
-        if done == n:
-            return True
-        v = pick()
-        limit = min(r, used + 1)  # new colors in first-use order only
-        avail = ~neighbor_colors[v] & ((1 << limit) - 1)
-        for c in _iter_bits(avail):
-            nodes += 1
-            if nodes > node_cap:
-                raise _CapHit
-            colors[v] = c
-            touched = []
-            for u in _iter_bits(adj[v]):
-                if not (neighbor_colors[u] >> c) & 1:
-                    neighbor_colors[u] |= 1 << c
-                    touched.append(u)
-            if rec(done + 1, max(used, c + 1)):
-                return True
-            colors[v] = -1
-            for u in touched:
-                neighbor_colors[u] &= ~(1 << c)
-        return False
-
+    col = _Colorer(g, r, node_cap)
     try:
-        if rec(0, 0):
-            return ColoringResult(SearchStatus.FOUND, tuple(colors), nodes)
-        return ColoringResult(SearchStatus.ABSENT, None, nodes)
+        if col.extend(0, 0):
+            return ColoringResult(SearchStatus.FOUND, tuple(col.colors), col.nodes)
+        return ColoringResult(SearchStatus.ABSENT, None, col.nodes)
     except _CapHit:
-        return ColoringResult(SearchStatus.BUDGET, None, nodes)
+        return ColoringResult(SearchStatus.BUDGET, None, col.nodes)

@@ -155,3 +155,32 @@ def canonical_mask(n: int, mask: int) -> int:
         if best is None or image < best:
             best = image
     return best
+
+
+def turan_plus_edge_mu(n: int, r: int) -> float:
+    """mu(T_r(n)+e) from an equitable partition, independent of the power
+    iteration.
+
+    With the extra edge (0, 1) inside the first (largest) part, the cells
+    {0, 1}, the rest of part 0, and each other part are equitable: every
+    vertex of a cell has the same number of neighbours in each cell.  The
+    Perron vector is constant on the cells, so mu is the largest
+    eigenvalue of the quotient matrix, taken exactly as the largest real
+    root of its characteristic polynomial (sympy) and rounded to a float.
+    """
+    import sympy
+
+    q, rem = divmod(n, r)
+    sizes = [q + 1] * rem + [q] * (r - rem)
+    cells = [(0, 2), (0, sizes[0] - 2)] + [(j, s) for j, s in enumerate(sizes) if j]
+    cells = [(part, size) for part, size in cells if size > 0]
+    quotient = [
+        [
+            size_j if part_i != part_j else int(i == j == 0)
+            for j, (part_j, size_j) in enumerate(cells)
+        ]
+        for i, (part_i, _) in enumerate(cells)
+    ]
+    lam = sympy.Symbol("lam")
+    poly = sympy.Matrix(quotient).charpoly(lam)
+    return float(sympy.Poly(poly.as_expr(), lam).real_roots()[-1].evalf(30))

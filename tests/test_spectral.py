@@ -6,16 +6,18 @@ import pytest
 
 from specturan import spectral
 
-from oracles import eig_mu
+from oracles import eig_mu, turan_plus_edge_mu
 from specturan.graph import (
     Graph,
     complete_graph,
+    graph_from_edge_mask,
     make_complete_multipartite,
     make_turan,
     make_turan_plus_edge,
     random_gnm,
     turan_part_sizes,
 )
+from specturan.harness import _mask_classes
 from specturan.rng import SplitMix64
 from specturan.spectral import (
     Verdict,
@@ -155,6 +157,61 @@ class TestSpectralRadii:
             spectral_radii([])
         with pytest.raises(ValueError):
             spectral_radii([Graph(3), Graph(4)])
+
+
+class TestDensityShift:
+    """Runs unconverged after `_SHIFT_STEP` steps on A + I go on from their
+    iterate on A + sI, s = max(1, m/k); faster runs keep the A + I bits."""
+
+    def test_turan_plus_edge_4096(self):
+        # On A + I alone this needs about 2.5n = 10^4 steps.
+        cmp = compare_mu_to_turan(make_turan_plus_edge(4096, 2), 2)
+        assert cmp.verdict is Verdict.GREATER
+        assert cmp.mu_g.converged
+        assert spectral._SHIFT_STEP < cmp.mu_g.iterations <= 150
+        assert abs(cmp.mu_g.value - turan_plus_edge_mu(4096, 2)) <= 1e-8
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_turan_plus_edge_1024_matches_quotient(self, r):
+        est = spectral_radius(make_turan_plus_edge(1024, r))
+        assert est.converged
+        assert abs(est.value - turan_plus_edge_mu(1024, r)) <= 1e-8
+
+    def test_batched_switch_matches_scalar(self, monkeypatch):
+        # T_2(40)+e crosses the switch step, the connected G(40, m) do not;
+        # the batch switches one graph and leaves the rest on A + I.
+        graphs = [make_turan_plus_edge(40, 2)] + [
+            random_gnm(40, m, seed) for m in (120, 300, 600) for seed in (1, 2)
+        ]
+        scalar = spectral.spectral_radius
+        estimates = [scalar(g) for g in graphs]
+        steps = [est.iterations for est in estimates]
+        assert steps[0] > spectral._SHIFT_STEP >= max(steps[1:])
+        calls = []
+        monkeypatch.setattr(spectral, "spectral_radius", lambda g, tol: calls.append(g))
+        value, resid, conv = spectral_radii(graphs, 1e-10)
+        assert calls == [] and conv.all()
+        for i, est in enumerate(estimates):
+            assert abs(value[i] - est.value) <= 1e-12
+            assert resid[i] <= 1e-9
+
+    def test_n7_class_representatives(self, monkeypatch):
+        # Per component every n = 7 class converges on A + I before the
+        # switch, so scalar estimates keep their unshifted bits.  On the
+        # whole matrix a few disconnected classes separate their components
+        # slowly and cross it; the batch still agrees with the scalar path.
+        reps, _ = _mask_classes(7, np.arange(1 << 21, dtype=np.uint32))
+        graphs = [graph_from_edge_mask(7, int(m)) for m in reps]
+        value, _, conv = spectral_radii(graphs)
+        assert conv.all()
+
+        def no_shift(a):
+            raise AssertionError("a component reached the shift step")
+
+        monkeypatch.setattr(spectral, "_shift_by_density", no_shift)
+        for i, g in enumerate(graphs):
+            est = spectral_radius(g)
+            assert est.converged and abs(value[i] - est.value) <= 1e-12
 
 
 class TestIntervalFlags:

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -471,3 +473,32 @@ def _brute_colorable(g: Graph, r: int) -> bool:
         if all(assignment[u] != assignment[v] for u, v in g.edges()):
             return True
     return g.n == 0
+
+
+class TestNoReferenceCycles:
+    """The recursive searches leave no reference cycle holding the graph.
+
+    The rows are ints, which the garbage collector does not track, so a
+    cycle through them would only be freed by a collection that their
+    allocation never triggers."""
+
+    @pytest.mark.parametrize(
+        "search, host",
+        [
+            (lambda g: clique_exists(g, 4), make_turan_plus_edge(30, 3)),
+            (lambda g: book_size(g, 2), make_turan_plus_edge(30, 3)),
+            (lambda g: is_r_partite(g, 3), make_turan(30, 3)),
+            (lambda g: find_kr_plus(g, (4, 3, 3)), make_turan_plus_edge(30, 3)),
+            (lambda g: find_kr_plus(g, (3, 3, 3)), make_turan(30, 3)),
+        ],
+        ids=["clique_exists", "book_size", "is_r_partite", "find_kr_plus", "absent"],
+    )
+    def test_refcounts_unchanged(self, search, host):
+        gc.disable()
+        try:
+            before = sys.getrefcount(host._adj), sys.getrefcount(host)
+            search(host)
+            after = sys.getrefcount(host._adj), sys.getrefcount(host)
+        finally:
+            gc.enable()
+        assert after == before
