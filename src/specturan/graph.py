@@ -21,6 +21,7 @@ import numpy as np
 from .rng import SplitMix64
 
 MAX_EXHAUSTIVE_N = 8  # exhaustive all-labeled-graph scans stop here
+_SYMMETRY_TILE = 256  # side of the square tiles the symmetry check compares
 
 
 class EdgeListError(ValueError):
@@ -87,13 +88,19 @@ class Graph:
                 raise ValueError(f"row {v} has bits outside 0..{self.n - 1}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        # argwhere lists pairs in row-major order, so the first offender is
-        # the one a scan of the rows in order meets first.
+        # Symmetry is checked over the upper-triangle tiles, each against its
+        # mirror, so transposed reads stay within cache.  Only on a mismatch
+        # is the whole matrix compared: argwhere lists pairs in row-major
+        # order, so the first offender is the one a scan of the rows in
+        # order meets first.
         bits = self._bit_matrix()
-        offenders = np.argwhere(bits > bits.T)
-        if offenders.size:
-            v, u = offenders[0].tolist()
-            raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        t = _SYMMETRY_TILE
+        for i in range(0, self.n, t):
+            for j in range(i, self.n, t):
+                tile, mirror = bits[i : i + t, j : j + t], bits[j : j + t, i : i + t]
+                if not np.array_equal(tile, mirror.T):
+                    v, u = np.argwhere(bits > bits.T)[0].tolist()
+                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

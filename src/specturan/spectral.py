@@ -395,17 +395,45 @@ def exact_mu_greater_than_rational(g: Graph, threshold: Fraction) -> bool:
     return bool(_exact_mu(g) > ref)
 
 
+def _complete_multipartite_parts(g: Graph) -> list[int] | None:
+    """Part sizes of G if it is complete multipartite, else None.
+
+    The parts of a complete multipartite graph are its classes of
+    identical rows, and each row is the complement of its own class.
+    """
+    groups: dict[int, int] = {}
+    for v, row in enumerate(g._adj):
+        groups[row] = groups.get(row, 0) | (1 << v)
+    full = (1 << g.n) - 1
+    if any(row != full & ~members for row, members in groups.items()):
+        return None
+    return [members.bit_count() for members in groups.values()]
+
+
+def _multipartite_mu(sizes: Sequence[int]):
+    """mu(K(sizes)) as an exact sympy algebraic number."""
+    import sympy
+
+    lam, expr = _multipartite_char_poly_expr(sizes)
+    return sympy.Poly(expr, lam).real_roots()[-1]
+
+
 def compare_mu_exact_multipartite(g: Graph, sizes: Sequence[int]) -> Verdict:
     """Exact algebraic decision of mu(G) > mu(K(sizes)); never INCONCLUSIVE.
 
     Both quantities are algebraic numbers: mu(G) is the largest real root
     of the adjacency characteristic polynomial, the reference the largest
     real root of the multipartite quotient polynomial.  sympy's real-root
-    isolation compares them exactly.  Intended for the few near-tie
+    isolation compares them exactly.  When G is itself complete
+    multipartite (e.g. G = T_r(n)), its quotient polynomial stands in for
+    the n x n characteristic polynomial.  Intended for the few near-tie
     instances per scan, not as the bulk path.
     """
-    import sympy
-
-    lam, ref_expr = _multipartite_char_poly_expr(sizes)
-    mu_ref = sympy.Poly(ref_expr, lam).real_roots()[-1]
-    return Verdict.GREATER if _exact_mu(g) > mu_ref else Verdict.NOT_GREATER
+    parts = _complete_multipartite_parts(g)
+    if parts is None:
+        mu_g = _exact_mu(g)
+    elif sorted(parts) == sorted(s for s in sizes if s > 0):
+        return Verdict.NOT_GREATER
+    else:
+        mu_g = _multipartite_mu(parts)
+    return Verdict.GREATER if mu_g > _multipartite_mu(sizes) else Verdict.NOT_GREATER

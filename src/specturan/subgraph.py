@@ -12,6 +12,11 @@ common neighborhoods are counted once (they repeat heavily on structured
 hosts), and edges whose clique-count upper bound cannot beat the current
 maximum are skipped.  That bound is the exact integer colex form of the
 Kruskal-Katona theorem, computed once per distinct common neighborhood.
+
+`clique_exists` first tries to certify absence: a greedy (r-1)-coloring
+by vertex index, with one bitset per color class, costs O(n r) big-int
+ANDs whatever the edge count, and only when it fails does the ordered
+search run.
 """
 
 from __future__ import annotations
@@ -131,21 +136,21 @@ def count_cliques(g: Graph, r: int) -> CliqueCount:
 
 
 def _greedy_colorable(g: Graph, colors: int) -> bool:
-    """Greedy coloring by vertex index; success proves K_{colors+1}-freeness."""
+    """Greedy coloring by vertex index; success proves K_{colors+1}-freeness.
+
+    Vertex v takes the least color whose class (a bitset of lower
+    vertices) misses v's row.
+    """
     if colors <= 0:
         return g.n == 0
-    assigned: list[int] = []
-    for v in range(g.n):
-        row = g.neighbors_mask(v)
-        used = 0
-        for u in _iter_bits(row & ((1 << v) - 1)):
-            used |= 1 << assigned[u]
-        c = 0
-        while (used >> c) & 1:
-            c += 1
-        if c >= colors:
+    classes = [0] * colors
+    for v, row in enumerate(g._adj):
+        for c in range(colors):
+            if not row & classes[c]:
+                classes[c] |= 1 << v
+                break
+        else:
             return False
-        assigned.append(c)
     return True
 
 

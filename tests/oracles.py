@@ -141,6 +141,29 @@ def _brute_colorable(g: Graph, vertices: tuple[int, ...], r: int) -> bool:
     )
 
 
+def brute_greedy_colorable(g: Graph, colors: int) -> bool:
+    """Greedy coloring by vertex index, by its definition: each vertex takes
+    the least color unused by its lower neighbours, read one at a time."""
+    if colors <= 0:
+        return g.n == 0
+    assigned: list[int] = []
+    for v in range(g.n):
+        row = g.neighbors_mask(v)
+        used = 0
+        lower = row & ((1 << v) - 1)
+        while lower:
+            low = lower & -lower
+            used |= 1 << assigned[low.bit_length() - 1]
+            lower ^= low
+        c = 0
+        while (used >> c) & 1:
+            c += 1
+        if c >= colors:
+            return False
+        assigned.append(c)
+    return True
+
+
 def canonical_mask(n: int, mask: int) -> int:
     """Brute-force canonical form of an edge mask over the lexicographic
     pair list: the smallest mask among all n! vertex relabellings."""

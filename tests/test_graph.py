@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -206,6 +207,59 @@ class TestInducedSubgraph:
                 ],
             )
             assert g.induced_subgraph(vertices) == expected, (trial, n, vertices)
+
+
+def _random_symmetric_rows(n: int, seed: int) -> list[int]:
+    """Rows of a seeded G(n, 1/2), drawn and symmetrised with numpy alone."""
+    draws = np.random.default_rng(seed).integers(0, 2, (n, n), dtype=np.uint8)
+    upper = np.triu(draws, 1)
+    packed = np.packbits(upper | upper.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _first_asymmetry_message(rows: list[int], n: int) -> str:
+    """The error text of the first offender of a whole-matrix comparison."""
+    bits = np.array([[(row >> u) & 1 for u in range(n)] for row in rows], dtype=np.uint8)
+    v, u = np.argwhere(bits > bits.T)[0].tolist()
+    return f"asymmetric adjacency between {u} and {v}"
+
+
+# (n, offenders): each offender (v, u) has u in row v but not v in row u.
+# The symmetry tiles are 256 wide, so n = 255 and 257 end in a partial tile.
+_ASYMMETRIC_HOSTS = [
+    (255, [(3, 200)]),  # the one, partial, diagonal tile, above the diagonal
+    (255, [(200, 3), (254, 0)]),  # below it, and in its last row
+    (256, [(0, 255)]),  # the one, full, diagonal tile, its far corner
+    (256, [(255, 254), (3, 200)]),
+    (257, [(10, 256)]),  # off-diagonal tile of one column
+    (257, [(256, 10), (256, 11)]),
+    (257, [(256, 0), (100, 3)]),  # across the diagonal tile and off it
+    (600, [(10, 300)]),  # full off-diagonal tile
+    (600, [(300, 10)]),
+    (600, [(260, 300), (400, 5)]),  # tile order meets (400, 5) first
+    (600, [(520, 599)]),  # last, partial, diagonal tile
+    (600, [(599, 520), (100, 590)]),  # and its partial off-diagonal tile
+]
+
+
+class TestTiledSymmetryCheck:
+    @pytest.mark.parametrize("n,offenders", _ASYMMETRIC_HOSTS)
+    def test_message_matches_whole_matrix(self, n, offenders):
+        rows = _random_symmetric_rows(n, seed=n)
+        Graph(n, rows)
+        for v, u in offenders:
+            rows[v] |= 1 << u
+            rows[u] &= ~(1 << v)
+        expected = _first_asymmetry_message(rows, n)
+        v, u = min(offenders)
+        assert expected == f"asymmetric adjacency between {u} and {v}"
+        with pytest.raises(ValueError) as exc:
+            Graph(n, rows)
+        assert str(exc.value) == expected
+
+    def test_accepts_symmetric_600(self):
+        rows = _random_symmetric_rows(600, seed=6)
+        assert Graph(600, rows)._adj == rows
 
 
 class TestEdgeList:

@@ -355,6 +355,58 @@ class TestComparisons:
             is Verdict.GREATER
         )
 
+    def test_exact_multipartite_quotient_path(self, monkeypatch):
+        """Every complete multipartite graph on n <= 7, relabelled, gets the
+        verdict of the full characteristic polynomial without computing it."""
+        import sympy
+
+        def partitions(n, largest):
+            if n == 0:
+                yield []
+            for s in range(min(n, largest), 0, -1):
+                for rest in partitions(n - s, s):
+                    yield [s] + rest
+
+        cases = []
+        for n in range(1, 8):
+            for sizes in partitions(n, n):
+                g = make_complete_multipartite(sizes)
+                rng, perm = SplitMix64(n * 100 + len(sizes)), list(range(n))
+                for i in range(n - 1, 0, -1):
+                    j = rng.below(i + 1)
+                    perm[i], perm[j] = perm[j], perm[i]
+                rows = [0] * n
+                for v in range(n):
+                    for u in range(n):
+                        if g.has_edge(v, u):
+                            rows[perm[v]] |= 1 << perm[u]
+                host = Graph(n, rows)
+                for r in (2, 3, 4):
+                    ref = turan_part_sizes(n, r)
+                    lam, expr = spectral._multipartite_char_poly_expr(ref)
+                    mu_ref = sympy.Poly(expr, lam).real_roots()[-1]
+                    expected = bool(spectral._exact_mu(host) > mu_ref)
+                    cases.append((host, ref, expected))
+
+        def no_charpoly(g):
+            raise AssertionError("complete multipartite host took the n x n path")
+
+        monkeypatch.setattr(spectral, "_exact_mu", no_charpoly)
+        for g, ref, expected in cases:
+            verdict = compare_mu_exact_multipartite(g, ref)
+            assert (verdict is Verdict.GREATER) == expected, (g._adj, ref)
+        assert sum(expected for _, _, expected in cases) > 0
+
+    def test_exact_tie_off_multipartite_takes_charpoly(self, monkeypatch):
+        # K3 plus an isolated vertex ties T_2(4) = C4 at mu = 2, but is not
+        # complete multipartite.
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+        calls = []
+        exact = spectral._exact_mu
+        monkeypatch.setattr(spectral, "_exact_mu", lambda h: calls.append(h) or exact(h))
+        assert compare_mu_exact_multipartite(g, [2, 2]) is Verdict.NOT_GREATER
+        assert calls == [g]
+
     def test_exact_rational_comparison(self):
         g = make_turan(20, 2)
         assert exact_mu_greater_than_rational(g, Fraction(999, 100))

@@ -10,6 +10,7 @@ from oracles import (
     all_cliques,
     brute_book_size,
     brute_clique_count,
+    brute_greedy_colorable,
     brute_has_multipartite,
     brute_joint_size,
 )
@@ -27,6 +28,7 @@ from specturan.rng import SplitMix64
 from specturan.subgraph import (
     Embedding,
     _clique_bound,
+    _greedy_colorable,
     EmbeddingValidationError,
     SearchStatus,
     book_size,
@@ -92,6 +94,27 @@ class TestCliqueExists:
     def test_large_turan_fast(self):
         # greedy-coloring shortcut must avoid exponential search
         assert clique_exists(make_turan(500, 5), 6) is None
+
+    def test_large_turan_plus_edge(self):
+        assert clique_exists(make_turan_plus_edge(4096, 2), 3) == (0, 1, 2048)
+
+
+class TestGreedyColorable:
+    """The colour-class bitset greedy against the per-neighbour definition."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_small_graph(self, n):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_edge_mask(n, mask)
+            for colors in range(5):
+                assert _greedy_colorable(g, colors) == brute_greedy_colorable(g, colors)
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_turan_hosts(self, n, r):
+        for g in (make_turan(n, r), make_turan_plus_edge(n, r)):
+            for colors in range(5):
+                assert _greedy_colorable(g, colors) == brute_greedy_colorable(g, colors)
 
 
 class TestJointSize:
