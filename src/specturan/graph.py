@@ -13,6 +13,7 @@ and the edge-list text format.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -138,6 +139,16 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self._adj) // 2
+
+    def twin_classes(self) -> dict[int, int]:
+        """Vertices grouped by identical adjacency row, as {row: members
+        bitset}, in order of least member.  Twins are never adjacent (a
+        twin in v's row would put v in its own row), so swapping two of
+        them is an automorphism."""
+        classes: dict[int, int] = {}
+        for v, row in enumerate(self._adj):
+            classes[row] = classes.get(row, 0) | (1 << v)
+        return classes
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges (u, v) with u < v in lexicographic order."""
@@ -293,25 +304,24 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     rng = SplitMix64(seed)
     # Virtual shuffle: remap[i] holds the pair index currently at slot i.
     remap: dict[int, int] = {}
-    g = Graph(n)
+    rows = [0] * n
     for i in range(m):
         j = i + rng.below(max_m - i)
         pick = remap.get(j, j)
         remap[j] = remap.get(i, i)
         u, v = _pair_from_index(n, pick)
-        g._add_edge(u, v)
-    return g
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, rows)
 
 
 def _pair_from_index(n: int, idx: int) -> tuple[int, int]:
-    # Lexicographic rank over pairs (u, v), u < v.
-    u = 0
-    row = n - 1
-    while idx >= row:
-        idx -= row
-        u += 1
-        row -= 1
-    return (u, u + 1 + idx)
+    # Lexicographic rank over pairs (u, v), u < v, unranked from the last
+    # pair: rows n-2, n-3, ... hold 1, 2, ... pairs, so `back` pairs from
+    # the end lie t(t+1)/2 + offset in, in row n-2-t.
+    back = n * (n - 1) // 2 - 1 - idx
+    t = (math.isqrt(8 * back + 1) - 1) // 2
+    return (n - 2 - t, n - 1 - (back - t * (t + 1) // 2))
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:

@@ -401,9 +401,7 @@ def _complete_multipartite_parts(g: Graph) -> list[int] | None:
     The parts of a complete multipartite graph are its classes of
     identical rows, and each row is the complement of its own class.
     """
-    groups: dict[int, int] = {}
-    for v, row in enumerate(g._adj):
-        groups[row] = groups.get(row, 0) | (1 << v)
+    groups = g.twin_classes()
     full = (1 << g.n) - 1
     if any(row != full & ~members for row, members in groups.items()):
         return None

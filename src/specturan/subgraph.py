@@ -6,12 +6,18 @@ search budgets are a first-class third outcome (BUDGET), never conflated
 with a completed negative search (ABSENT).
 
 Counting uses ordered expansion over bitset intersections, so each clique
-is visited once.  Joint sizes reuse the counter on per-edge common
-neighborhoods, with two exactness-preserving accelerations: identical
-common neighborhoods are counted once (they repeat heavily on structured
-hosts), and edges whose clique-count upper bound cannot beat the current
-maximum are skipped.  That bound is the exact integer colex form of the
-Kruskal-Katona theorem, computed once per distinct common neighborhood.
+is visited once.  Joint sizes reuse the counter on common neighborhoods,
+with three exactness-preserving accelerations.  Only one edge per pair
+of twin classes (vertices with identical rows) is scanned, since all
+edges between two classes share one common neighborhood; T_r(n)+e has
+r + 2 classes whatever n.  Identical common neighborhoods are counted
+once (memoized), and edges whose clique-count upper bound cannot beat
+the current maximum are skipped.  That bound is the exact integer colex
+form of the Kruskal-Katona theorem, computed once per distinct common
+neighborhood.
+
+2-coloring grows BFS layers as bitsets, O(n) big-int ORs whatever the
+edge count; an edge inside a layer proves an odd cycle.
 
 `clique_exists` first tries to certify absence: a greedy (r-1)-coloring
 by vertex index, with one bitset per color class, costs O(n r) big-int
@@ -225,10 +231,6 @@ def joint_size(g: Graph, r: int, with_per_edge: bool = False) -> JointReport:
         raise ValueError("joint order must be at least 2")
     adj = g._adj
     k = r - 2  # cliques of this order are counted inside common neighborhoods
-    edges = list(g.edges())
-    if not edges:
-        return JointReport(r, None, 0, {} if with_per_edge else None)
-
     memo: dict[int, int] = {}
 
     def exact_count(cn: int) -> int:
@@ -246,17 +248,34 @@ def joint_size(g: Graph, r: int, with_per_edge: bool = False) -> JointReport:
         return cached
 
     if with_per_edge:
-        per_edge = {e: exact_count(adj[e[0]] & adj[e[1]]) for e in edges}
+        per_edge = {e: exact_count(adj[e[0]] & adj[e[1]]) for e in g.edges()}
+        if not per_edge:
+            return JointReport(r, None, 0, {})
         best = max(per_edge.values())
         witness = min(e for e, c in per_edge.items() if c == best)
         return JointReport(r, witness, best, per_edge)
 
-    order = sorted(edges, key=lambda e: (-(adj[e[0]] & adj[e[1]]).bit_count(), e))
+    # Twins are never adjacent, so every edge between twin classes A and B
+    # has the common neighbourhood row(A) & row(B), and the least of them
+    # is (min A, min B).  One edge per class pair decides size and witness.
+    reps = 0
+    for members in g.twin_classes().values():
+        reps |= members & -members
+    pairs = []
+    for u in _iter_bits(reps):
+        row = adj[u]
+        for w in _iter_bits((row & reps) >> (u + 1)):
+            v = u + 1 + w
+            cn = row & adj[v]
+            pairs.append((-cn.bit_count(), u, v, cn))
+    if not pairs:
+        return JointReport(r, None, 0, None)
+    pairs.sort()
+
     bounds: dict[int, int] = {}  # cn -> _clique_bound of the edges inside it
     best = -1
     witness: tuple[int, int] | None = None
-    for u, v in order:
-        cn = adj[u] & adj[v]
+    for _, u, v, cn in pairs:
         cnt: int | None = None
         if k <= 1:
             cnt = exact_count(cn)
@@ -536,20 +555,31 @@ def find_kr_plus(
 
 
 def _two_color(g: Graph) -> tuple[int, ...] | None:
-    colors = [-1] * g.n
+    """The 2-coloring giving each component's least vertex color 0, or
+    None.  Colors are BFS-layer parities, grown one bitset layer at a
+    time; an edge inside a layer closes an odd cycle."""
+    adj = g._adj
+    seen = 0
+    odd = 0
     for start in range(g.n):
-        if colors[start] != -1:
+        if (seen >> start) & 1:
             continue
-        colors[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in _iter_bits(g.neighbors_mask(v)):
-                if colors[u] == -1:
-                    colors[u] = 1 - colors[v]
-                    queue.append(u)
-                elif colors[u] == colors[v]:
-                    return None
+        layer = 1 << start
+        parity = 0
+        while layer:
+            reach = 0
+            for v in _iter_bits(layer):
+                reach |= adj[v]
+            if reach & layer:
+                return None
+            seen |= layer
+            if parity:
+                odd |= layer
+            layer = reach & ~seen
+            parity ^= 1
+    colors = [0] * g.n
+    for v in _iter_bits(odd):
+        colors[v] = 1
     return tuple(colors)
 
 

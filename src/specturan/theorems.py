@@ -640,20 +640,16 @@ def _conflict_peel_order(g: Graph, members: list[int], r: int) -> int:
     sub = g.induced_subgraph(members)
     order = sorted(range(sub.n), key=lambda v: (-sub.degree(v), v))
     colors = [-1] * sub.n
+    classes = [0] * r  # bitset of the vertices colored so far, per color
     for v in order:
-        counts = [0] * r
         row = sub.neighbors_mask(v)
-        for u in range(sub.n):
-            if colors[u] != -1 and (row >> u) & 1:
-                counts[colors[u]] += 1
-        colors[v] = min(range(r), key=lambda c: (counts[c], c))
-    conflicts = [0] * sub.n
-    for v in range(sub.n):
-        row = sub.neighbors_mask(v)
-        for u in range(v + 1, sub.n):
-            if (row >> u) & 1 and colors[u] == colors[v]:
-                conflicts[u] += 1
-                conflicts[v] += 1
+        counts = [(row & members_c).bit_count() for members_c in classes]
+        c = counts.index(min(counts))
+        colors[v] = c
+        classes[c] |= 1 << v
+    conflicts = [
+        (sub.neighbors_mask(v) & classes[colors[v]]).bit_count() for v in range(sub.n)
+    ]
     worst = max(range(sub.n), key=lambda v: (conflicts[v], -v))
     return members[worst]
 
@@ -706,6 +702,13 @@ def find_stability_witness(
 
 
 def _verify_coloring(g: Graph, coloring: Sequence[int]) -> None:
+    """Every vertex's row must miss its own color class; only a failure
+    walks the edges, to name the least monochromatic one."""
+    classes: dict[int, int] = {}
+    for v, c in enumerate(coloring):
+        classes[c] = classes.get(c, 0) | (1 << v)
+    if not any(g.neighbors_mask(v) & classes[coloring[v]] for v in range(g.n)):
+        return
     for u, v in g.edges():
         if coloring[u] == coloring[v]:
             raise AssertionError(f"coloring not proper on edge ({u},{v})")

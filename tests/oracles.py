@@ -207,3 +207,68 @@ def turan_plus_edge_mu(n: int, r: int) -> float:
     lam = sympy.Symbol("lam")
     poly = sympy.Matrix(quotient).charpoly(lam)
     return float(sympy.Poly(poly.as_expr(), lam).real_roots()[-1].evalf(30))
+
+
+# Reference implementations kept from before the bitset rewrites of the
+# same functions: per-vertex and per-pair loops, read one step at a time.
+
+
+def _iter_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reference_two_color(g: Graph) -> tuple[int, ...] | None:
+    """2-colouring by depth-first search from each component's least vertex."""
+    colors = [-1] * g.n
+    for start in range(g.n):
+        if colors[start] != -1:
+            continue
+        colors[start] = 0
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for u in _iter_bits(g.neighbors_mask(v)):
+                if colors[u] == -1:
+                    colors[u] = 1 - colors[v]
+                    queue.append(u)
+                elif colors[u] == colors[v]:
+                    return None
+    return tuple(colors)
+
+
+def reference_pair_from_index(n: int, idx: int) -> tuple[int, int]:
+    """Lexicographic unranking over pairs (u, v), u < v, row by row."""
+    u = 0
+    row = n - 1
+    while idx >= row:
+        idx -= row
+        u += 1
+        row -= 1
+    return (u, u + 1 + idx)
+
+
+def reference_conflict_peel_order(g: Graph, members: list[int], r: int) -> int:
+    """Vertex to evict: most monochromatic conflicts under a greedy
+    r-coloring by descending degree (ties lowest index), counted pair by pair."""
+    sub = g.induced_subgraph(members)
+    order = sorted(range(sub.n), key=lambda v: (-sub.degree(v), v))
+    colors = [-1] * sub.n
+    for v in order:
+        counts = [0] * r
+        row = sub.neighbors_mask(v)
+        for u in range(sub.n):
+            if colors[u] != -1 and (row >> u) & 1:
+                counts[colors[u]] += 1
+        colors[v] = min(range(r), key=lambda c: (counts[c], c))
+    conflicts = [0] * sub.n
+    for v in range(sub.n):
+        row = sub.neighbors_mask(v)
+        for u in range(v + 1, sub.n):
+            if (row >> u) & 1 and colors[u] == colors[v]:
+                conflicts[u] += 1
+                conflicts[v] += 1
+    worst = max(range(sub.n), key=lambda v: (conflicts[v], -v))
+    return members[worst]

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from oracles import reference_pair_from_index
 from specturan.graph import (
     EdgeListError,
     Graph,
     PartSpec,
+    _pair_from_index,
     complete_graph,
     graph_from_edge_mask,
     make_complete_multipartite,
@@ -152,6 +154,11 @@ class TestRandomGnm:
     def test_well_formed(self):
         for seed in range(5):
             assert_well_formed(random_gnm(12, 30, seed))
+
+    def test_pair_unranking_matches_reference(self):
+        for n in range(2, 81):
+            for idx in range(n * (n - 1) // 2):
+                assert _pair_from_index(n, idx) == reference_pair_from_index(n, idx)
 
     def test_splitmix_reference_values(self):
         # First outputs for seed 0; matches the published SplitMix64 stream.
@@ -317,6 +324,23 @@ class TestGraphBasics:
         assert g.has_edge(1, 2) and not g2.has_edge(1, 2)
         with pytest.raises(ValueError):
             g2.without_edge(1, 2)
+
+    def test_twin_classes_of_turan_plus_edge(self):
+        # The extra edge (0, 1) splits 0 and 1 off part 1 as two singletons.
+        for r in range(2, 5):
+            for n in range(r + 1, 30):
+                sizes = turan_part_sizes(n, r)
+                classes = make_turan_plus_edge(n, r).twin_classes()
+                assert len(classes) == (r + 1 if sizes[0] == 2 else r + 2)
+                members = list(classes.values())
+                assert members[:2] == [0b01, 0b10]
+                assert sum(m.bit_count() for m in members) == n
+                least = [(m & -m).bit_length() for m in members]
+                assert least == sorted(least)
+
+    def test_twin_classes_are_rows(self):
+        g = Graph.from_edges(5, [(0, 2), (1, 2), (3, 4)])
+        assert g.twin_classes() == {0b100: 0b11, 0b11: 0b100, 0b10000: 0b1000, 0b1000: 0b10000}
 
     def test_components(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)])

@@ -13,6 +13,7 @@ from oracles import (
     brute_greedy_colorable,
     brute_has_multipartite,
     brute_joint_size,
+    reference_two_color,
 )
 from specturan.graph import (
     Graph,
@@ -29,6 +30,7 @@ from specturan.subgraph import (
     Embedding,
     _clique_bound,
     _greedy_colorable,
+    _two_color,
     EmbeddingValidationError,
     SearchStatus,
     book_size,
@@ -177,6 +179,33 @@ class TestJointSize:
                         full.size,
                         full.witness_edge,
                     ), (g, q)
+
+    @pytest.mark.parametrize("r", range(2, 6))
+    def test_twin_blowups_match_brute(self, r):
+        # Every graph on 4 vertices, each vertex replaced by 1..3 twins and
+        # the result relabelled: classes of identical rows of every size.
+        rng = SplitMix64(71)
+        for mask in range(1 << 6):
+            base = graph_from_edge_mask(4, mask)
+            for _ in range(3):
+                mult = [1 + rng.below(3) for _ in range(4)]
+                while sum(mult) > 9:
+                    mult[rng.below(4)] = 1
+                origin = [b for b in range(4) for _ in range(mult[b])]
+                perm = list(range(len(origin)))
+                for i in range(len(perm) - 1, 0, -1):
+                    j = rng.below(i + 1)
+                    perm[i], perm[j] = perm[j], perm[i]
+                g = Graph.from_edges(
+                    len(origin),
+                    [
+                        (perm[a], perm[b])
+                        for a, b in itertools.combinations(range(len(origin)), 2)
+                        if base.has_edge(origin[a], origin[b])
+                    ],
+                )
+                rep = joint_size(g, r)
+                assert (rep.size, rep.witness_edge) == brute_joint_size(g, r), (g._adj, r)
 
 
 class TestCliqueBound:
@@ -489,6 +518,36 @@ class TestIsRPartite:
                 if res.coloring is not None:
                     for u, v in g.edges():
                         assert res.coloring[u] != res.coloring[v]
+
+
+class TestTwoColor:
+    """Bitset BFS layers against the depth-first reference colouring."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_small_graph(self, n):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_edge_mask(n, mask)
+            assert _two_color(g) == reference_two_color(g)
+
+    def test_cycles_and_disjoint_unions(self):
+        c5, c6 = cycle(5), cycle(6)
+        assert _two_color(c5) is None
+        assert _two_color(c6) == (0, 1, 0, 1, 0, 1)
+        for parts in ((c6, c6), (c6, Graph(2), c6), (c6, c5), (Graph(3), c6, c6)):
+            rows, offset = [], 0
+            for h in parts:
+                rows.extend(row << offset for row in h._adj)
+                offset += h.n
+            g = Graph(offset, rows)
+            assert _two_color(g) == reference_two_color(g)
+
+    def test_turan_hosts(self):
+        for n in range(1, 101):
+            hosts = [make_turan(n, 2)]
+            if n >= 3:
+                hosts.append(make_turan_plus_edge(n, 2))
+            for g in hosts:
+                assert _two_color(g) == reference_two_color(g)
 
 
 def _brute_colorable(g: Graph, r: int) -> bool:

@@ -4,18 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_joint_size
+from oracles import brute_joint_size, reference_conflict_peel_order
 from specturan.graph import (
     Graph,
     complete_graph,
     make_turan,
     make_turan_plus_edge,
+    random_gnm,
     read_edge_list,
 )
+from specturan.rng import SplitMix64
 from specturan.theorems import (
     TheoremId,
     TheoremParams,
     TriState,
+    _conflict_peel_order,
+    _verify_coloring,
     ceil_n_power,
     check_book_remark,
     check_edge_implies_spectral,
@@ -320,6 +324,42 @@ class TestStabilityWitness:
         assert witness is not None
         sub_vertices = set(witness.vertices)
         assert len(sub_vertices & {0, 1, 2}) <= 2
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_conflict_peel_matches_reference(self, r):
+        rng = SplitMix64(83 + r)
+        for _ in range(300):
+            n = 2 + rng.below(15)
+            g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), rng.next_u64())
+            members = [v for v in range(n) if rng.below(4)] or [rng.below(n)]
+            assert _conflict_peel_order(g, members, r) == reference_conflict_peel_order(
+                g, members, r
+            )
+
+    def test_verify_coloring_names_least_monochromatic_edge(self):
+        g = make_turan(10, 2)
+        proper = [0] * 5 + [1] * 5
+        _verify_coloring(g, proper)
+        for v, first_edge in ((7, "(0,7)"), (3, "(3,5)")):
+            corrupted = list(proper)
+            corrupted[v] ^= 1
+            with pytest.raises(AssertionError) as err:
+                _verify_coloring(g, corrupted)
+            assert str(err.value) == f"coloring not proper on edge {first_edge}"
+
+    def test_verify_coloring_on_random_colorings(self):
+        rng = SplitMix64(89)
+        for _ in range(2000):
+            n = 1 + rng.below(8)
+            g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), rng.next_u64())
+            coloring = [rng.below(3) for _ in range(n)]
+            bad = [(u, v) for u, v in g.edges() if coloring[u] == coloring[v]]
+            if not bad:
+                _verify_coloring(g, coloring)
+                continue
+            with pytest.raises(AssertionError) as err:
+                _verify_coloring(g, coloring)
+            assert str(err.value) == f"coloring not proper on edge ({bad[0][0]},{bad[0][1]})"
 
 
 class TestGuardedRounding:
