@@ -2,22 +2,27 @@
 solver, and certified comparisons; no other module estimates or compares mu.
 
 The estimator is power iteration on A + I (the shift defeats the +/-mu
-oscillation of bipartite spectra).  A run still unconverged after
+oscillation of bipartite spectra), run on the twin quotient: with the
+twin classes of sizes s_i and Q the graph of their least members, the
+partition is equitable, so mu is the spectral radius of the k x k matrix
+D^{1/2} Q D^{1/2}, D = diag(s) (Brouwer & Haemers, Spectra of Graphs,
+§2.3), and T_r(n)+e, with r + 2 classes at any n, costs k x k steps
+instead of n x n.  On twin-free graphs D = I and the iteration is the
+plain one on A, bit for bit.  A run still unconverged after
 `_SHIFT_STEP` steps goes on from its iterate on A + sI with s = max(1, m/k)
 for m edges on k vertices (`_shift_by_density`).  On bipartite-like hosts
 such as T_2(n)+e the ratio |lambda_min + 1| / (mu + 1) is about 1 - 4/n, so
 A + I alone needs about 2.5n steps; shifted, T_2(n)+e converges in about
-110 steps at any n (T_2(4096)+e: 110 steps, about 1.5 s with one BLAS
-thread).  Graphs that converge within the first phase keep the unshifted
-bits.  `spectral_radius` runs the iteration on every connected component,
-so each run has a simple dominant eigenvalue, and reports the max;
-`spectral_radii` runs it on many whole graphs of one order at once and
-hands the unconverged ones to `spectral_radius`.  Both loops stop by
-`_converged`.  For complete multipartite graphs the nontrivial eigenvalues
-solve sum_i s_i/(lam + s_i) = 1, which is strictly decreasing in lam, so
-the largest eigenvalue comes out of a bisection with no linear-algebra
-dependency; that solver doubles as an independent oracle for the power
-iteration.
+110 steps at any n.  Graphs that converge within the first phase keep the
+unshifted bits.  `spectral_radius` runs the iteration on every connected
+component, so each run has a simple dominant eigenvalue, and reports the
+max; `spectral_radii` runs it on the full matrices of many whole graphs of
+one order at once and hands the unconverged ones to `spectral_radius`.
+Both loops stop by `_converged`.  For complete multipartite graphs the
+nontrivial eigenvalues solve sum_i s_i/(lam + s_i) = 1, which is strictly
+decreasing in lam, so the largest eigenvalue comes out of a bisection with
+no linear-algebra dependency; that solver doubles as an independent oracle
+for the power iteration.
 
 Every comparison goes through `interval_flags`: the estimate is widened by
 its residual, the reference by a tolerance, and overlapping intervals yield
@@ -55,22 +60,21 @@ def _converged(rho, rho_prev, res, tol):
     return (abs(rho - rho_prev) < tol) & (res <= 10.0 * tol)
 
 
-def _shift_by_density(a: np.ndarray) -> np.ndarray:
+def _shift_by_density(a: np.ndarray, two_m, order: float) -> np.ndarray:
     """The shift rule of both power iterations, applied at step
     `_SHIFT_STEP`: A + I becomes A + sI with s = max(1, m/k).
 
     The average degree 2m/k is at most mu (Collatz-Sinogowitz), so
     s <= mu/2 and mu + s stays dominant, while |lambda_min + s| / (mu + s)
     drops to about 1/3 on T_2(n)+e (shifted power method: Wilkinson, The
-    Algebraic Eigenvalue Problem, §9).  `a` is one k x k adjacency matrix
-    or a stack of them, with zero diagonals; s - 1 is added to every
-    diagonal entry in place, so each loop's step a @ x + x now computes
-    (A + sI) x.  Returns s - 1 per matrix: the caller adds it to its shift
-    and to its previous Rayleigh quotient, so the jump is not read as
-    convergence.
+    Algebraic Eigenvalue Problem, §9).  `a` is one iteration matrix or a
+    stack of them, with zero diagonals, for graphs of `order` k vertices
+    and `two_m` = 2m edge ends each; s - 1 is added to every diagonal entry
+    in place, so each loop's step a @ x + x now computes (A + sI) x.
+    Returns s - 1 per matrix: the caller adds it to its shift and to its
+    previous Rayleigh quotient, so the jump is not read as convergence.
     """
-    k = a.shape[-1]
-    raise_by = np.maximum(1.0, a.sum(axis=(-2, -1)) / (2 * k)) - 1.0
+    raise_by = np.maximum(1.0, two_m / (2 * order)) - 1.0
     diagonal = np.einsum("...ii->...i", a)
     diagonal += raise_by[..., None]
     return raise_by
@@ -81,7 +85,10 @@ class SpectralEstimate:
     """Estimate of mu(G) with convergence evidence.
 
     `residual` is the infinity norm of A x - value * x for the final unit
-    iterate x of the winning component.
+    iterate x of the winning component.  From `spectral_radius` that
+    iterate is the lift of the twin-quotient iterate z (x_v = z_i /
+    sqrt(s_i) on class i), and the residual is computed on the quotient,
+    without forming A.
     """
 
     value: float
@@ -104,16 +111,36 @@ class SpectralComparison:
 
 
 def _component_power_iteration(
-    a_sub: np.ndarray, tol: float, max_iter: int
-) -> tuple[float, float, int, bool]:
-    """Power iteration on one component, on A + I and then, if still
-    unconverged, on A + sI (`_shift_by_density` shifts `a_sub` in place).
+    a: np.ndarray, sizes: np.ndarray | None, tol: float, max_iter: int
+) -> tuple[float, float, int, bool, np.ndarray]:
+    """Power iteration on one component of the twin quotient, on A + I and
+    then, if still unconverged, on A + sI.
 
-    Returns (estimate, residual, iterations, converged): the final Rayleigh
-    quotient minus the shift, and the infinity norm of (A + sI) x - rho x.
+    `a` is the 0/1 class graph Q of the component and `sizes` its class
+    sizes s_i, or None when every class is a single vertex (D = I, Q = A,
+    and the scaling below is the identity, so it is skipped).  `a` is
+    scaled in place to M = D^{1/2} Q D^{1/2}, D = diag(s), whose spectrum
+    holds mu of the component's graph.  A unit iterate z of M lifts to the
+    unit vector x_v = z_i / sqrt(s_i) on the vertices v of class i, with
+    the same Rayleigh quotient, so the residual reported is
+    max_i |(M z - rho z)_i| / sqrt(s_i), the infinity norm of
+    (A + sI) x - rho x.  The start z = sqrt(s) / sqrt(N) lifts to the
+    uniform vector on the component's N vertices.
+
+    Returns (estimate, residual, iterations, converged, z): the final
+    Rayleigh quotient minus the shift, that residual, and the unit iterate
+    z they were taken at.
     """
-    k = a_sub.shape[0]
-    x = np.full(k, 1.0 / math.sqrt(k))
+    if sizes is None:
+        root, order, two_m = None, a.shape[0], float(a.sum())
+        x = np.full(order, 1.0 / math.sqrt(order))
+    else:
+        two_m = float(sizes @ a @ sizes)
+        order = float(sizes.sum())
+        root = np.sqrt(sizes)
+        a *= root[:, None]
+        a *= root
+        x = root / math.sqrt(order)
     rho_prev = math.inf
     shift = 1.0
     rho = 1.0
@@ -122,25 +149,29 @@ def _component_power_iteration(
     converged = False
     while iters < max_iter:
         if iters == _SHIFT_STEP:
-            raise_by = float(_shift_by_density(a_sub))
+            raise_by = float(_shift_by_density(a, two_m, order))
             shift += raise_by
             rho_prev += raise_by
-        y = a_sub @ x + x
+        y = a @ x + x
         rho = float(x @ y)
-        res = float(np.max(np.abs(y - rho * x)))
+        deviation = np.abs(y - rho * x)
+        if root is not None:
+            deviation /= root
+        res = float(np.max(deviation))
         iters += 1
-        if _converged(rho, rho_prev, res, tol):
-            converged = True
+        converged = _converged(rho, rho_prev, res, tol)
+        if converged or iters == max_iter:
             break
         rho_prev = rho
         x = y / np.linalg.norm(y)
-    return rho - shift, res, iters, converged
+    return rho - shift, res, iters, converged, x
 
 
 def spectral_radius(
     g: Graph, tol: float = DEFAULT_TOL, max_iter: int | None = None
 ) -> SpectralEstimate:
-    """mu(G) by per-component power iteration (see the module docstring).
+    """mu(G) by power iteration on each component of the twin quotient
+    (see the module docstring).
 
     Non-convergence within `max_iter` is reported via converged=False,
     never raised.  mu of the empty-vertex graph is 0 by convention.
@@ -151,18 +182,28 @@ def spectral_radius(
         max_iter = default_max_iter(g.n)
     if g.n == 0:
         return SpectralEstimate(0.0, 0.0, 0, True)
-    a_full = g.to_numpy()
+    # Twins are never adjacent, so the representatives' induced subgraph
+    # is the class graph Q.  Its components are G's, in the same order,
+    # except that G's isolated vertices share one singleton class.
+    if len(set(g._adj)) == g.n:
+        quotient, sizes = g, None
+    else:
+        classes = g.twin_classes().values()
+        quotient = g.induced_subgraph([(m & -m).bit_length() - 1 for m in classes])
+        sizes = np.array([m.bit_count() for m in classes], dtype=np.float64)
+    q_full = quotient.to_numpy()
     best_value = -math.inf
     best_res = 0.0
     total_iters = 0
     all_converged = True
-    for comp in g.components():
+    for comp in quotient.components():
         if len(comp) == 1:
             value, res, iters, conv = 0.0, 0.0, 0, True
         else:
-            a_sub = a_full if len(comp) == g.n else a_full[np.ix_(comp, comp)]
-            value, res, iters, conv = _component_power_iteration(
-                a_sub, tol, max_iter
+            q_sub = q_full if len(comp) == quotient.n else q_full[np.ix_(comp, comp)]
+            comp_sizes = None if sizes is None else sizes[comp]
+            value, res, iters, conv, _ = _component_power_iteration(
+                q_sub, comp_sizes, tol, max_iter
             )
         total_iters += iters
         all_converged = all_converged and conv
@@ -206,7 +247,7 @@ def spectral_radii(
         for step in range(default_max_iter(n)):
             if step == _SHIFT_STEP:
                 # Finished graphs' matrices are shifted too but never read again.
-                raise_by = _shift_by_density(a)
+                raise_by = _shift_by_density(a, a.sum(axis=(-2, -1)), n)
                 rho_prev += raise_by
                 shift[active] += raise_by[active]
             xa = x[active]

@@ -590,8 +590,7 @@ class _CapHit(Exception):
 class _Colorer:
     """Saturation-ordered backtracking r-coloring with a node cap: the next
     vertex has the most distinct neighbour colours, then the highest degree,
-    and new colours are opened in first-use order only.  Methods rather
-    than a recursive closure, for the reason given at `_clique_rec`."""
+    and new colours are opened in first-use order only."""
 
     def __init__(self, g: Graph, r: int, node_cap: int) -> None:
         self.adj = g._adj
@@ -616,29 +615,53 @@ class _Colorer:
                 best_v = v
         return best_v
 
-    def extend(self, done: int, used: int) -> bool:
-        colors, neighbor_colors = self.colors, self.neighbor_colors
-        if done == len(colors):
-            return True
-        v = self.pick()
-        limit = min(self.r, used + 1)
-        avail = ~neighbor_colors[v] & ((1 << limit) - 1)
-        for c in _iter_bits(avail):
-            self.nodes += 1
-            if self.nodes > self.node_cap:
-                raise _CapHit
-            colors[v] = c
-            touched = []
-            for u in _iter_bits(self.adj[v]):
-                if not (neighbor_colors[u] >> c) & 1:
-                    neighbor_colors[u] |= 1 << c
-                    touched.append(u)
-            if self.extend(done + 1, max(used, c + 1)):
-                return True
-            colors[v] = -1
-            for u in touched:
-                neighbor_colors[u] &= ~(1 << c)
-        return False
+    def extend(self) -> bool:
+        """Colour every vertex, or return False once the search is spent.
+
+        Depth-first with an explicit stack, so the depth is not bounded by
+        the interpreter's recursion limit: one frame per coloured vertex,
+        holding the vertex, its colours left to try, the colour count in
+        use before it, and the neighbours its current colour newly marked.
+        Colours are tried lowest first and nodes counted as they are, the
+        order of the plain recursive search.
+        """
+        colors, neighbor_colors, adj = self.colors, self.neighbor_colors, self.adj
+        frames: list[list] = []
+        used = 0
+        while len(frames) < len(colors):
+            v = self.pick()
+            limit = min(self.r, used + 1)
+            frames.append([v, ~neighbor_colors[v] & ((1 << limit) - 1), used, []])
+            # Give the top frame its next colour, backtracking out of spent ones.
+            while True:
+                frame = frames[-1]
+                v, avail, used, touched = frame
+                c = colors[v]
+                if c != -1:
+                    colors[v] = -1
+                    for u in touched:
+                        neighbor_colors[u] &= ~(1 << c)
+                if not avail:
+                    frames.pop()
+                    if not frames:
+                        return False
+                    continue
+                low = avail & -avail
+                c = low.bit_length() - 1
+                frame[1] = avail ^ low
+                self.nodes += 1
+                if self.nodes > self.node_cap:
+                    raise _CapHit
+                colors[v] = c
+                touched = []
+                for u in _iter_bits(adj[v]):
+                    if not (neighbor_colors[u] >> c) & 1:
+                        neighbor_colors[u] |= 1 << c
+                        touched.append(u)
+                frame[3] = touched
+                used = max(used, c + 1)
+                break
+        return True
 
 
 def is_r_partite(
@@ -664,7 +687,7 @@ def is_r_partite(
 
     col = _Colorer(g, r, node_cap)
     try:
-        if col.extend(0, 0):
+        if col.extend():
             return ColoringResult(SearchStatus.FOUND, tuple(col.colors), col.nodes)
         return ColoringResult(SearchStatus.ABSENT, None, col.nodes)
     except _CapHit:

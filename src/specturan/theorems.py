@@ -654,6 +654,33 @@ def _conflict_peel_order(g: Graph, members: list[int], r: int) -> int:
     return members[worst]
 
 
+def _degree_peel_order(
+    g: Graph, members: list[int], degree_threshold: float
+) -> list[int]:
+    """Vertices the degree peel evicts from `members`, in eviction order:
+    while some survivor has degree at most the threshold in the survivors'
+    induced subgraph, the least (degree, vertex) goes.  Survivors' degrees
+    are kept and decremented from each victim's row."""
+    alive = 0
+    for v in members:
+        alive |= 1 << v
+    degree = {v: (g.neighbors_mask(v) & alive).bit_count() for v in members}
+    victims: list[int] = []
+    while degree:
+        victim = min(degree, key=lambda v: (degree[v], v))
+        if degree[victim] > degree_threshold:
+            break
+        victims.append(victim)
+        del degree[victim]
+        alive ^= 1 << victim
+        row = g.neighbors_mask(victim) & alive
+        while row:
+            low = row & -row
+            degree[low.bit_length() - 1] -= 1
+            row ^= low
+    return victims
+
+
 def find_stability_witness(
     g: Graph,
     r: int,
@@ -680,15 +707,8 @@ def find_stability_witness(
             break
         evict = _conflict_peel_order(g, members, r)
         members.remove(evict)
-    # Degree peel: smallest degree first, ties lowest vertex.
-    while members:
-        sub = g.induced_subgraph(members)
-        degs = sub.degrees()
-        low = [i for i in range(sub.n) if degs[i] <= degree_threshold]
-        if not low:
-            break
-        victim = min(low, key=lambda i: (degs[i], members[i]))
-        members.pop(victim)
+    evicted = set(_degree_peel_order(g, members, degree_threshold))
+    members = [v for v in members if v not in evicted]
     if not members or len(members) < order_threshold:
         return None, False
     sub = g.induced_subgraph(members)

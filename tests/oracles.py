@@ -8,6 +8,7 @@ counting and search paths.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -272,3 +273,147 @@ def reference_conflict_peel_order(g: Graph, members: list[int], r: int) -> int:
                 conflicts[v] += 1
     worst = max(range(sub.n), key=lambda v: (conflicts[v], -v))
     return members[worst]
+
+
+def reference_degree_peel_order(
+    g: Graph, members: list[int], degree_threshold: float
+) -> list[int]:
+    """Degree peel victims, in order, rebuilding the induced subgraph after
+    every eviction: smallest degree first, ties lowest vertex."""
+    members = list(members)
+    victims = []
+    while members:
+        sub = g.induced_subgraph(members)
+        degs = sub.degrees()
+        low = [i for i in range(sub.n) if degs[i] <= degree_threshold]
+        if not low:
+            break
+        victim = min(low, key=lambda i: (degs[i], members[i]))
+        victims.append(members.pop(victim))
+    return victims
+
+
+class ReferenceCapHit(Exception):
+    pass
+
+
+class ReferenceColorer:
+    """Saturation-ordered backtracking r-coloring with a node cap, one
+    recursive call per coloured vertex."""
+
+    def __init__(self, g: Graph, r: int, node_cap: int) -> None:
+        self.adj = g._adj
+        self.r = r
+        self.node_cap = node_cap
+        self.colors = [-1] * g.n
+        self.neighbor_colors = [0] * g.n  # bitmask of colors used in each nbhd
+        self.degrees = g.degrees()
+        self.nodes = 0
+
+    def pick(self) -> int:
+        colors, neighbor_colors = self.colors, self.neighbor_colors
+        degrees = self.degrees
+        best_v = -1
+        best_key = (-1, -1)
+        for v in range(len(colors)):
+            if colors[v] != -1:
+                continue
+            key = (neighbor_colors[v].bit_count(), degrees[v])
+            if key > best_key:
+                best_key = key
+                best_v = v
+        return best_v
+
+    def extend(self, done: int, used: int) -> bool:
+        colors, neighbor_colors = self.colors, self.neighbor_colors
+        if done == len(colors):
+            return True
+        v = self.pick()
+        limit = min(self.r, used + 1)
+        avail = ~neighbor_colors[v] & ((1 << limit) - 1)
+        for c in _iter_bits(avail):
+            self.nodes += 1
+            if self.nodes > self.node_cap:
+                raise ReferenceCapHit
+            colors[v] = c
+            touched = []
+            for u in _iter_bits(self.adj[v]):
+                if not (neighbor_colors[u] >> c) & 1:
+                    neighbor_colors[u] |= 1 << c
+                    touched.append(u)
+            if self.extend(done + 1, max(used, c + 1)):
+                return True
+            colors[v] = -1
+            for u in touched:
+                neighbor_colors[u] &= ~(1 << c)
+        return False
+
+
+def reference_backtrack_color(
+    g: Graph, r: int, node_cap: int
+) -> tuple[str, tuple[int, ...] | None, int]:
+    """(status value, colouring, nodes) of the recursive colourer."""
+    col = ReferenceColorer(g, r, node_cap)
+    try:
+        if col.extend(0, 0):
+            return "found", tuple(col.colors), col.nodes
+        return "absent", None, col.nodes
+    except ReferenceCapHit:
+        return "budget", None, col.nodes
+
+
+def reference_spectral_radius(g: Graph, tol: float = 1e-10):
+    """(value, residual, iterations, converged) by per-component power
+    iteration on the full adjacency matrix: A + I for 100 steps, then
+    A + sI with s = max(1, m/k) for m edges on the component's k vertices."""
+    max_iter = 100 * g.n + 1000
+    if g.n == 0:
+        return 0.0, 0.0, 0, True
+    a_full = g.to_numpy()
+    best_value = -math.inf
+    best_res = 0.0
+    total_iters = 0
+    all_converged = True
+    for comp in g.components():
+        if len(comp) == 1:
+            value, res, iters, conv = 0.0, 0.0, 0, True
+        else:
+            a_sub = a_full if len(comp) == g.n else a_full[np.ix_(comp, comp)]
+            value, res, iters, conv = _reference_component_iteration(
+                a_sub, tol, max_iter
+            )
+        total_iters += iters
+        all_converged = all_converged and conv
+        if value > best_value:
+            best_value = value
+            best_res = res
+    return best_value, best_res, total_iters, all_converged
+
+
+def _reference_component_iteration(a_sub, tol, max_iter):
+    k = a_sub.shape[0]
+    x = np.full(k, 1.0 / math.sqrt(k))
+    rho_prev = math.inf
+    shift = 1.0
+    rho = 1.0
+    res = 0.0
+    iters = 0
+    converged = False
+    while iters < max_iter:
+        if iters == 100:
+            raise_by = np.maximum(1.0, a_sub.sum(axis=(-2, -1)) / (2 * k)) - 1.0
+            diagonal = np.einsum("...ii->...i", a_sub)
+            diagonal += raise_by[..., None]
+            raise_by = float(raise_by)
+            shift += raise_by
+            rho_prev += raise_by
+        y = a_sub @ x + x
+        rho = float(x @ y)
+        res = float(np.max(np.abs(y - rho * x)))
+        iters += 1
+        if abs(rho - rho_prev) < tol and res <= 10.0 * tol:
+            converged = True
+            break
+        rho_prev = rho
+        x = y / np.linalg.norm(y)
+    return rho - shift, res, iters, converged

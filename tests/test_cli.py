@@ -179,6 +179,14 @@ class TestCheck:
         assert code == 0
         assert rec["certificate"]["branch"] == "b"
 
+    def test_stability_r3_above_recursion_limit(self, tmp_path, capsys):
+        path = str(tmp_path / "t.el")
+        write_edge_list_file(make_turan_plus_edge(1024, 3), path)
+        code, out, _ = run_cli(capsys, "check", path, "--theorem", "t1.2", "--r", "3")
+        rec = json.loads(out)
+        assert code == 0
+        assert rec["hypothesis"] == "yes" and rec["conclusion"] == "yes"
+
     def test_t2_requires_c(self, tmp_path, capsys):
         path = str(tmp_path / "t.el")
         write_edge_list_file(make_turan(6, 2), path)

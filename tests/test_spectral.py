@@ -6,7 +6,7 @@ import pytest
 
 from specturan import spectral
 
-from oracles import eig_mu, turan_plus_edge_mu
+from oracles import eig_mu, reference_spectral_radius, turan_plus_edge_mu
 from specturan.graph import (
     Graph,
     complete_graph,
@@ -205,13 +205,148 @@ class TestDensityShift:
         value, _, conv = spectral_radii(graphs)
         assert conv.all()
 
-        def no_shift(a):
+        def no_shift(*args):
             raise AssertionError("a component reached the shift step")
 
         monkeypatch.setattr(spectral, "_shift_by_density", no_shift)
         for i, g in enumerate(graphs):
             est = spectral_radius(g)
             assert est.converged and abs(value[i] - est.value) <= 1e-12
+
+
+def _shuffled_blowup(h, mult, isolated, rng):
+    """h with vertex i blown up to mult[i] twins, plus `isolated` extra
+    vertices, under a seeded random relabelling."""
+    n = sum(mult) + isolated
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    owner = [i for i, m in enumerate(mult) for _ in range(m)] + [-1] * isolated
+    edges = [
+        (perm[a], perm[b])
+        for a in range(n)
+        for b in range(a + 1, n)
+        if min(owner[a], owner[b]) >= 0 and h.has_edge(owner[a], owner[b])
+    ]
+    return Graph.from_edges(n, edges)
+
+
+def _twin_rich_hosts(seed, count):
+    """Shuffled blow-ups of G(k, m), class sizes 1..3, some with a class of
+    isolated vertices and some the disjoint union of two blow-ups."""
+    rng = SplitMix64(seed)
+    hosts = []
+    while len(hosts) < count:
+        k = 2 + rng.below(9)
+        m = rng.below(k * (k - 1) // 2 + 1)
+        h = random_gnm(k, m, rng.next_u64())
+        if rng.below(3) == 0:
+            # Two pieces: drop the edges across a cut.
+            cut = 1 + rng.below(k - 1)
+            h = Graph.from_edges(k, [e for e in h.edges() if (e[0] < cut) == (e[1] < cut)])
+        mult = [1 + rng.below(3) for _ in range(k)]
+        g = _shuffled_blowup(h, mult, rng.below(3), rng)
+        if len(g.twin_classes()) < g.n:
+            hosts.append(g)
+    return hosts
+
+
+def _lifted_residuals(g, tol, max_iter):
+    """Per component of the twin quotient: (residual reported by the
+    quotient iteration, infinity-norm residual of its lifted unit vector
+    on G's full adjacency matrix)."""
+    classes = list(g.twin_classes().values())
+    quotient = g.induced_subgraph([(c & -c).bit_length() - 1 for c in classes])
+    a = g.to_numpy()
+    out = []
+    for comp in quotient.components():
+        if len(comp) == 1:
+            continue
+        sizes = np.array([classes[i].bit_count() for i in comp], dtype=np.float64)
+        q_sub = quotient.to_numpy()[np.ix_(comp, comp)]
+        value, res, _, _, z = spectral._component_power_iteration(
+            q_sub, sizes, tol, max_iter
+        )
+        x = np.zeros(g.n)
+        for i, zi, s in zip(comp, z, sizes):
+            members = [v for v in range(g.n) if (classes[i] >> v) & 1]
+            x[members] = zi / math.sqrt(s)
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+        out.append((res, float(np.max(np.abs(a @ x - value * x)))))
+    return out
+
+
+class TestTwinQuotient:
+    """`spectral_radius` iterates on the twin quotient: bit-identical to the
+    full-matrix loop on twin-free graphs, exact in lifted terms otherwise."""
+
+    @staticmethod
+    def _estimate(g):
+        est = spectral_radius(g)
+        return est.value, est.residual, est.iterations, est.converged
+
+    def test_twin_free_random_bit_identical(self):
+        rng = SplitMix64(211)
+        checked = 0
+        for _ in range(200):
+            n = 4 + rng.below(40)
+            g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), rng.next_u64())
+            if len(g.twin_classes()) < n:
+                continue
+            assert self._estimate(g) == reference_spectral_radius(g)
+            checked += 1
+        assert checked >= 50
+
+    def test_twin_free_shifted_bit_identical(self):
+        # Paths and unions of paths are twin-free from P_4 on and need the
+        # shift step; P_30 + P_31 also needs the per-component split.
+        for a, b in ((4, 0), (60, 0), (30, 31), (12, 50)):
+            g = _path_union(a, b)
+            assert len(g.twin_classes()) == g.n
+            got = self._estimate(g)
+            assert got == reference_spectral_radius(g)
+        assert got[2] > spectral._SHIFT_STEP
+
+    def test_twin_free_n7_class_representatives_bit_identical(self):
+        reps, _ = _mask_classes(7, np.arange(1 << 21, dtype=np.uint32))
+        checked = 0
+        for mask in reps:
+            g = graph_from_edge_mask(7, int(mask))
+            if len(g.twin_classes()) == 7:
+                assert self._estimate(g) == reference_spectral_radius(g)
+                checked += 1
+        assert checked >= 100
+
+    def test_shuffled_blowups_match_eigensolver(self):
+        for g in _twin_rich_hosts(223, 150):
+            est = spectral_radius(g)
+            assert abs(est.value - eig_mu(g)) <= 1e-9
+            assert est.converged == reference_spectral_radius(g)[3]
+
+    def test_turan_plus_edge_keeps_iteration_counts(self):
+        for n, r in ((200, 2), (201, 3), (202, 4)):
+            g = make_turan_plus_edge(n, r)
+            assert len(g.twin_classes()) == r + 2
+            est = spectral_radius(g)
+            ref = reference_spectral_radius(g)
+            assert est.iterations == ref[2] and est.converged
+            assert abs(est.value - ref[0]) <= 1e-9
+
+    def test_residual_is_lifted_vector_residual(self):
+        # After a few steps the residual is large and compared relatively;
+        # at convergence it is near rounding level, so an absolute floor of
+        # 1e-13 (a thousandth of tol) stands in for the relative test.
+        for g in _twin_rich_hosts(227, 60):
+            for max_iter in (3, 10**4):
+                for res, lifted in _lifted_residuals(g, 1e-10, max_iter):
+                    assert res == pytest.approx(lifted, rel=1e-9, abs=1e-13)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_turan_plus_edge_4096(self, r):
+        cmp = compare_mu_to_turan(make_turan_plus_edge(4096, r), r)
+        assert cmp.verdict is Verdict.GREATER
+        assert abs(cmp.mu_g.value - turan_plus_edge_mu(4096, r)) <= 1e-8
 
 
 class TestIntervalFlags:

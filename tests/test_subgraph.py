@@ -13,6 +13,7 @@ from oracles import (
     brute_greedy_colorable,
     brute_has_multipartite,
     brute_joint_size,
+    reference_backtrack_color,
     reference_two_color,
 )
 from specturan.graph import (
@@ -518,6 +519,40 @@ class TestIsRPartite:
                 if res.coloring is not None:
                     for u, v in g.edges():
                         assert res.coloring[u] != res.coloring[v]
+
+
+class TestBacktrackColorer:
+    """The explicit-stack colourer against the recursive one it replaced:
+    same colourings, node counts and cap outcomes, at any depth."""
+
+    def test_matches_recursive_reference(self):
+        rng = SplitMix64(67)
+        seen = set()
+        for _ in range(400):
+            n = 4 + rng.below(24)
+            g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), rng.next_u64())
+            r = 3 + rng.below(3)
+            cap = (5, 40, 10**4)[rng.below(3)]
+            res = is_r_partite(g, r, node_cap=cap)
+            if r >= n:
+                continue
+            want = reference_backtrack_color(g, r, cap)
+            assert (res.status.value, res.coloring, res.nodes_expanded) == want
+            seen.add(res.status)
+        assert seen == set(SearchStatus)
+
+    @pytest.mark.parametrize("n", [1000, 1024])
+    def test_turan_deeper_than_recursion_limit(self, n):
+        assert n >= sys.getrecursionlimit()
+        g = make_turan(n, 3)
+        res = is_r_partite(g, 3)
+        assert res.status is SearchStatus.FOUND
+        assert len(res.coloring) == n and res.nodes_expanded == n
+        classes = [0] * 3
+        for v, c in enumerate(res.coloring):
+            classes[c] |= 1 << v
+        for v, c in enumerate(res.coloring):
+            assert not g.neighbors_mask(v) & classes[c]
 
 
 class TestTwoColor:

@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_joint_size, reference_conflict_peel_order
+from oracles import (
+    brute_joint_size,
+    reference_conflict_peel_order,
+    reference_degree_peel_order,
+)
 from specturan.graph import (
     Graph,
     complete_graph,
@@ -19,6 +23,7 @@ from specturan.theorems import (
     TheoremParams,
     TriState,
     _conflict_peel_order,
+    _degree_peel_order,
     _verify_coloring,
     ceil_n_power,
     check_book_remark,
@@ -34,6 +39,7 @@ from specturan.theorems import (
     check_theorem3,
     find_stability_witness,
     floor_c_log_n,
+    run_check,
     turan_edge_count,
 )
 
@@ -292,6 +298,14 @@ class TestStability:
             check_stability(complete_graph(3), 2, 1e-6, which=TheoremId.T1)
 
 
+@pytest.mark.parametrize("tid", [TheoremId.T1_2, TheoremId.T2_2, TheoremId.T3_2])
+def test_stability_r3_above_recursion_limit(tid):
+    # Colouring the 1024-vertex host once took one Python frame per vertex.
+    v = run_check(tid, make_turan_plus_edge(1024, 3), 3, c=0.3, b=0.01)
+    assert v.hypothesis is TriState.YES and v.conclusion is TriState.YES
+    assert v.detail["branch_b"] == "found"
+
+
 class TestStabilityWitness:
     def test_turan_full_witness(self):
         g = make_turan(30, 3)
@@ -335,6 +349,19 @@ class TestStabilityWitness:
             assert _conflict_peel_order(g, members, r) == reference_conflict_peel_order(
                 g, members, r
             )
+
+    def test_degree_peel_matches_reference(self):
+        rng = SplitMix64(89)
+        evicted = 0
+        for _ in range(300):
+            n = 2 + rng.below(30)
+            g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), rng.next_u64())
+            members = [v for v in range(n) if rng.below(4)] or [rng.below(n)]
+            threshold = rng.below(4 * n) / 4 - 1
+            got = _degree_peel_order(g, members, threshold)
+            assert got == reference_degree_peel_order(g, members, threshold)
+            evicted += len(got)
+        assert evicted > 1000
 
     def test_verify_coloring_names_least_monochromatic_edge(self):
         g = make_turan(10, 2)
