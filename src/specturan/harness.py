@@ -19,6 +19,11 @@ entry per labeled mask.  A sampled scan treats each sampled mask as its
 own class.  Spectral comparisons the interval leaves open are settled
 exactly by algebraic root comparison, once per class, so every instance
 ends with a definite verdict and the tie log stays auditable.
+
+The family sweep and the random hunt run each graph's checks with one
+`theorems.run_checks` call, so mu, the Turan reference and js_{r+1} are
+computed once per graph rather than once per check, and settle each
+exact tie hook at most once per graph.  Nothing is kept across graphs.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .graph import (
     make_turan_plus_edge,
     random_gnm,
     turan_part_sizes,
+    write_edge_list,
 )
 from .rng import SplitMix64
 from .spectral import (
@@ -67,6 +73,7 @@ from .theorems import (
     TheoremVerdict,
     TriState,
     run_check,
+    run_checks,
     turan_edge_count,
 )
 
@@ -331,8 +338,6 @@ def _scan_order(
             if tie is not None:
                 payload["spectral_resolved_exactly"] = tie.value
             if payload["graph"] is None:
-                from .graph import write_edge_list
-
                 payload["graph"] = write_edge_list(g)
             out["counterexamples"].append(payload)
 
@@ -468,25 +473,37 @@ def _exact_flag(hook: ExactHook, g: Graph, r: int, b: float) -> TriState:
     return TriState.YES if greater == hook.yes_if_greater else TriState.NO
 
 
-def _apply_check_resolved(cfg: ExperimentConfig, check: str, g: Graph) -> TheoremVerdict:
-    """Scalar checker plus exact settlement of interval near-ties.
+def _apply_checks_resolved(
+    cfg: ExperimentConfig, checks: Sequence[str], g: Graph
+) -> list[TheoremVerdict]:
+    """The scalar checkers of `checks` on one graph, plus exact settlement of
+    interval near-ties.
 
-    The certified checkers report INCONCLUSIVE on exact spectral ties
-    (e.g. G = T_r(n) itself); experiment verdicts escalate those to the
-    algebraic comparison so every recorded flag is definite.
+    The checkers run together through `run_checks`, against one analysis
+    of g.  The certified checkers report INCONCLUSIVE on exact spectral
+    ties (e.g. G = T_r(n) itself); experiment verdicts escalate those to
+    the algebraic comparison, once per hook for the graph, so every
+    recorded flag is definite.
     """
-    tid = TheoremId(check)
+    tids = [TheoremId(check) for check in checks]
     c = cfg.c if cfg.c > 0 else None
-    v = run_check(tid, g, cfg.r, tol=cfg.tol, budget=cfg.budget, c=c, b=cfg.b)
-    hook = CHECKS[tid].exact
-    if hook is not None and getattr(v, hook.flag) is TriState.INCONCLUSIVE:
-        setattr(v, hook.flag, _exact_flag(hook, g, cfg.r, cfg.b))
-        v.detail[f"{hook.flag}_resolved"] = "exact"
-    if v.is_counterexample and v.graph_edges is None:
-        from .graph import write_edge_list
+    verdicts = run_checks(tids, g, cfg.r, tol=cfg.tol, budget=cfg.budget, c=c, b=cfg.b)
+    settled: dict[ExactHook, TriState] = {}
+    for tid, v in zip(tids, verdicts):
+        hook = CHECKS[tid].exact
+        if hook is not None and getattr(v, hook.flag) is TriState.INCONCLUSIVE:
+            if hook not in settled:
+                settled[hook] = _exact_flag(hook, g, cfg.r, cfg.b)
+            setattr(v, hook.flag, settled[hook])
+            v.detail[f"{hook.flag}_resolved"] = "exact"
+        if v.is_counterexample and v.graph_edges is None:
+            v.graph_edges = write_edge_list(g)
+    return verdicts
 
-        v.graph_edges = write_edge_list(g)
-    return v
+
+def _apply_check_resolved(cfg: ExperimentConfig, check: str, g: Graph) -> TheoremVerdict:
+    """One check of `_apply_checks_resolved`."""
+    return _apply_checks_resolved(cfg, (check,), g)[0]
 
 
 def _family_graph(name: str, n: int, r: int) -> Graph | None:
@@ -531,8 +548,8 @@ def run_family_sweep(cfg: ExperimentConfig) -> ExperimentReport:
             g = _family_graph(family, n, cfg.r)
             if g is None:
                 continue
-            for check in cfg.checks:
-                v = _apply_check_resolved(cfg, check, g)
+            verdicts = _apply_checks_resolved(cfg, cfg.checks, g)
+            for check, v in zip(cfg.checks, verdicts):
                 instances += 1
                 if v.is_counterexample:
                     counterexamples.append(v.to_json_dict())
@@ -584,8 +601,8 @@ def run_random_hunt(cfg: ExperimentConfig) -> ExperimentReport:
         concl_yes = 0
         for t, s in enumerate(trial_seeds):
             g = random_gnm(n, m, s)
-            for check in cfg.checks:
-                v = _apply_check_resolved(cfg, check, g)
+            verdicts = _apply_checks_resolved(cfg, cfg.checks, g)
+            for check, v in zip(cfg.checks, verdicts):
                 instances += 1
                 if v.is_counterexample:
                     counterexamples.append(v.to_json_dict())

@@ -357,6 +357,28 @@ def _verdict(greater: bool, not_greater: bool) -> Verdict:
     return Verdict.NOT_GREATER if not_greater else Verdict.INCONCLUSIVE
 
 
+def _turan_reference(n: int, r: int, tol: float) -> float:
+    """mu(T_r(n)) as the float reference of a certified Turan comparison."""
+    if r < 2:
+        raise ValueError("r must be at least 2")
+    if n < 1:
+        raise ValueError("graph must have at least one vertex")
+    return turan_mu_exact(n, r, tol=min(tol, EXACT_SOLVER_TOL))
+
+
+def _compare_estimate(
+    est: SpectralEstimate, reference: float | Fraction, tol: float
+) -> SpectralComparison:
+    """The certified verdict of an estimate already computed against a
+    float reference, or, in exact rational arithmetic, a Fraction one."""
+    if isinstance(reference, Fraction):
+        value, residual = Fraction(est.value), Fraction(est.residual)
+        flags = interval_flags(value, residual, est.converged, reference, Fraction(tol))
+    else:
+        flags = interval_flags(est.value, est.residual, est.converged, reference, tol)
+    return SpectralComparison(est, float(reference), _verdict(*flags))
+
+
 def compare_mu_to_turan(
     g: Graph, r: int, tol: float = DEFAULT_TOL
 ) -> SpectralComparison:
@@ -365,14 +387,8 @@ def compare_mu_to_turan(
     GREATER / NOT_GREATER are interval-rigorous; near-ties (including
     G = T_r(n) itself) come back INCONCLUSIVE.
     """
-    if r < 2:
-        raise ValueError("r must be at least 2")
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    mu_t = turan_mu_exact(g.n, r, tol=min(tol, EXACT_SOLVER_TOL))
-    est = spectral_radius(g, tol=tol)
-    flags = interval_flags(est.value, est.residual, est.converged, mu_t, tol)
-    return SpectralComparison(est, mu_t, _verdict(*flags))
+    mu_t = _turan_reference(g.n, r, tol)
+    return _compare_estimate(spectral_radius(g, tol=tol), mu_t, tol)
 
 
 def compare_mu_to_threshold(
@@ -386,10 +402,7 @@ def compare_mu_to_threshold(
     otherwise round to the wrong side).  Callers working far above
     n ~ 1000 should scale tol up with n^2 * eps.
     """
-    est = spectral_radius(g, tol=tol)
-    value, residual = Fraction(est.value), Fraction(est.residual)
-    flags = interval_flags(value, residual, est.converged, threshold, Fraction(tol))
-    return SpectralComparison(est, float(threshold), _verdict(*flags))
+    return _compare_estimate(spectral_radius(g, tol=tol), Fraction(threshold), tol)
 
 
 def _multipartite_char_poly_expr(sizes: Sequence[int]):

@@ -14,7 +14,8 @@ r + 2 classes whatever n.  Identical common neighborhoods are counted
 once (memoized), and edges whose clique-count upper bound cannot beat
 the current maximum are skipped.  That bound is the exact integer colex
 form of the Kruskal-Katona theorem, computed once per distinct common
-neighborhood.
+neighborhood.  For edges (js_4) it is the edge count itself, so the
+memoized exact count serves as the bound.
 
 2-coloring grows BFS layers as bitsets, O(n) big-int ORs whatever the
 edge count; an edge inside a layer proves an odd cycle.
@@ -283,7 +284,10 @@ def joint_size(g: Graph, r: int, with_per_edge: bool = False) -> JointReport:
             cnt = memo[cn]
         else:
             ub = math.comb(cn.bit_count(), k)
-            if ub > best:
+            if ub > best and k == 2:
+                # _clique_bound(m, 2) == m, so the bound is the exact count.
+                ub = exact_count(cn)
+            elif ub > best:
                 ub = bounds.get(cn)
                 if ub is None:
                     ub = bounds[cn] = _clique_bound(_edges_within(adj, cn), k)
@@ -399,12 +403,7 @@ class _Embedder:
         for new, old in enumerate(order):
             to_new[old] = new
         self.to_new = to_new
-        self.adj = [0] * g.n
-        for old in range(g.n):
-            row = 0
-            for u in _iter_bits(g.neighbors_mask(old)):
-                row |= 1 << to_new[u]
-            self.adj[to_new[old]] = row
+        self.adj = g.induced_subgraph(order)._adj
         self.budget = budget
         self.nodes = 0
         self.memo_failed: set[tuple[int, int]] = set()

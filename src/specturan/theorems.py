@@ -12,6 +12,15 @@ A verdict with hypothesis YES and conclusion NO is a counterexample
 record: it serializes the full graph so the claim can be re-checked
 independently.  Regime flags (n > r^15 and friends) are advisory labels,
 never gates; the asymptotic regimes are far beyond desk scale.
+
+The checks share one hypothesis, mu(G) > mu(T_r(n)), and Theorem 1 and
+its stability form both bound js_{r+1}(G).  `run_checks` therefore runs
+all of one graph's checks against one per-graph analysis
+(`_GraphAnalysis`), which computes the mu estimate, the Turan
+comparison, k_r, the least K_{r+1} and js_{r+1} at most once and is
+dropped when the call returns.  Each public `check_*` function runs the
+same checker body on a fresh analysis.  Witnesses are still re-checked
+once per verdict.
 """
 
 from __future__ import annotations
@@ -26,15 +35,17 @@ from .graph import Graph, turan_part_sizes, write_edge_list
 from .spectral import (
     DEFAULT_TOL,
     SpectralComparison,
+    SpectralEstimate,
     Verdict,
-    compare_mu_to_threshold,
-    compare_mu_to_turan,
+    _compare_estimate,
+    _turan_reference,
     spectral_radius,
 )
 from .subgraph import (
     DEFAULT_BUDGET,
     DEFAULT_COLOR_CAP,
     Embedding,
+    JointReport,
     SearchStatus,
     book_size,
     clique_exists,
@@ -237,15 +248,66 @@ def turan_edge_count(n: int, r: int) -> int:
     return (n * n - sum(s * s for s in sizes)) // 2
 
 
+class _GraphAnalysis:
+    """What several checkers of one graph share, each computed at most once:
+    the mu estimate per tol, the Turan comparison per (r, tol), k_q, the
+    least K_q and js_q.
+
+    `run_checks` builds one for a graph's checks and drops it with them, so
+    nothing outlives them; each public `check_*` builds a fresh one.  The
+    values held are frozen (or tuples and ints), and every verdict still
+    re-checks its own witnesses.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+        self._memo: dict[tuple, object] = {}
+
+    def _once(self, key: tuple, compute: Callable[[], object]):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def estimate(self, tol: float) -> SpectralEstimate:
+        return self._once(("mu", tol), lambda: spectral_radius(self.g, tol))
+
+    def turan(self, r: int, tol: float) -> SpectralComparison:
+        """What `compare_mu_to_turan(g, r, tol)` returns."""
+
+        def compare() -> SpectralComparison:
+            mu_t = _turan_reference(self.g.n, r, tol)
+            return _compare_estimate(self.estimate(tol), mu_t, tol)
+
+        return self._once(("turan", r, tol), compare)
+
+    def cliques(self, q: int) -> int:
+        return self._once(("k", q), lambda: count_cliques(self.g, q).count)
+
+    def clique(self, q: int) -> tuple[int, ...] | None:
+        return self._once(("clique", q), lambda: clique_exists(self.g, q))
+
+    def joint(self, q: int) -> JointReport:
+        return self._once(("js", q), lambda: joint_size(self.g, q))
+
+
 # ---------------------------------------------------------------------------
 # Fact checkers
+#
+# Each checker is a body taking the graph's `_GraphAnalysis` (the table
+# below and `run_checks` call it) and a public `check_*` function that runs
+# the body on a fresh analysis.
 # ---------------------------------------------------------------------------
 
 
 def check_spectral_turan(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVerdict:
     """mu(G) > mu(T_r(n))  =>  G contains K_{r+1}."""
-    cmp = compare_mu_to_turan(g, r, tol)
-    clique = clique_exists(g, r + 1)
+    return _check_spectral_turan(_GraphAnalysis(g), r, tol)
+
+
+def _check_spectral_turan(a: _GraphAnalysis, r: int, tol: float) -> TheoremVerdict:
+    g = a.g
+    cmp = a.turan(r, tol)
+    clique = a.clique(r + 1)
     if clique is not None:
         _verify_clique(g, clique)
         conclusion = TriState.YES
@@ -269,8 +331,13 @@ def check_spectral_turan(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremV
 
 def check_theorem1(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVerdict:
     """mu(G) > mu(T_r(n))  =>  js_{r+1}(G) > n^{r-1}/r^{2r+4}."""
-    cmp = compare_mu_to_turan(g, r, tol)
-    report = joint_size(g, r + 1)
+    return _check_theorem1(_GraphAnalysis(g), r, tol)
+
+
+def _check_theorem1(a: _GraphAnalysis, r: int, tol: float) -> TheoremVerdict:
+    g = a.g
+    cmp = a.turan(r, tol)
+    report = a.joint(r + 1)
     bound = Fraction(g.n ** (r - 1), r ** (2 * r + 4))
     holds = Fraction(report.size) > bound
     cert = None
@@ -345,7 +412,14 @@ def check_theorem2(
     budget: int = DEFAULT_BUDGET,
 ) -> TheoremVerdict:
     """mu(G) > mu(T_r(n))  =>  K_r^+(floor(c ln n), ..., ceil(n^{1-sqrt c}))."""
-    cmp = compare_mu_to_turan(g, r, tol)
+    return _check_theorem2(_GraphAnalysis(g), r, c, tol, budget)
+
+
+def _check_theorem2(
+    a: _GraphAnalysis, r: int, c: float, tol: float, budget: int
+) -> TheoremVerdict:
+    g = a.g
+    cmp = a.turan(r, tol)
     conclusion, cert, detail, vacuous = _kr_plus_branch(
         g, r, c, budget, lambda c: 1.0 - math.sqrt(c)
     )
@@ -373,8 +447,15 @@ def check_theorem3(
 ) -> TheoremVerdict:
     """Balanced variant: K_r^+(floor(c ln n), ..., floor(c ln n)) with the
     paper's fixed c = r^{-(2r+9)(r+1)} unless overridden."""
+    return _check_theorem3(_GraphAnalysis(g), r, tol, budget, c_override)
+
+
+def _check_theorem3(
+    a: _GraphAnalysis, r: int, tol: float, budget: int, c_override: float | None
+) -> TheoremVerdict:
+    g = a.g
     c = default_theorem3_c(r) if c_override is None else c_override
-    cmp = compare_mu_to_turan(g, r, tol)
+    cmp = a.turan(r, tol)
     conclusion, cert, detail, vacuous = _kr_plus_branch(g, r, c, budget, None)
     v = TheoremVerdict(
         TheoremId.T3,
@@ -406,10 +487,15 @@ def _lenslmm_mu_bound(g: Graph, r: int, b: float) -> Fraction:
 def check_fact_lenslmm(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVerdict:
     """k_r(G) >= (mu/n - 1 + 1/r) * r(r-1)/(r+1) * (n/r)^{r+1}, rigorous via
     the certified upper bound on mu."""
+    return _check_fact_lenslmm(_GraphAnalysis(g), r, tol)
+
+
+def _check_fact_lenslmm(a: _GraphAnalysis, r: int, tol: float) -> TheoremVerdict:
     if r < 2:
         raise ValueError("r must be at least 2")
+    g = a.g
     n = g.n
-    kr = count_cliques(g, r).count
+    kr = a.cliques(r)
     if n == 0:
         return TheoremVerdict(
             TheoremId.FACT_LENSLMM,
@@ -422,7 +508,7 @@ def check_fact_lenslmm(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVer
             lhs="0",
             rhs="0",
         )
-    est = spectral_radius(g, tol)
+    est = a.estimate(tol)
 
     coef = _lenslmm_coef(n, r)
 
@@ -486,8 +572,9 @@ def check_fact_tsize(n: int, r: int) -> TheoremVerdict:
     )
 
 
-def _lekd_hypothesis(g: Graph, r: int) -> tuple[TriState, dict | None, dict]:
-    clique = clique_exists(g, r + 1)
+def _lekd_hypothesis(a: _GraphAnalysis, r: int) -> tuple[TriState, dict | None, dict]:
+    g = a.g
+    clique = a.clique(r + 1)
     n = g.n
     delta = g.min_degree()
     # delta > (1 - 1/r - 1/r^4) n  <=>  r^4 delta > (r^4 - r^3 - 1) n
@@ -502,10 +589,15 @@ def _lekd_hypothesis(g: Graph, r: int) -> tuple[TriState, dict | None, dict]:
 def check_fact_lekd(g: Graph, r: int) -> TheoremVerdict:
     """K_{r+1} present and delta > (1-1/r-1/r^4)n  =>
     js_{r+1} > n^{r-1}/r^{r+3}."""
+    return _check_fact_lekd(_GraphAnalysis(g), r)
+
+
+def _check_fact_lekd(a: _GraphAnalysis, r: int) -> TheoremVerdict:
     if r < 2:
         raise ValueError("r must be at least 2")
-    hyp, hyp_cert, hyp_detail = _lekd_hypothesis(g, r)
-    report = joint_size(g, r + 1)
+    g = a.g
+    hyp, hyp_cert, hyp_detail = _lekd_hypothesis(a, r)
+    report = a.joint(r + 1)
     bound = Fraction(g.n ** (r - 1), r ** (r + 3))
     holds = Fraction(report.size) > bound
     cert = None
@@ -540,9 +632,14 @@ def check_fact_thv4(
 ) -> TheoremVerdict:
     """K_{r+1} present and delta > (1-1/r-1/r^4)n  =>
     K_r^+(floor(c ln n), ..., ceil(n^{1-c r^3}))."""
+    return _check_fact_thv4(_GraphAnalysis(g), r, c, budget)
+
+
+def _check_fact_thv4(a: _GraphAnalysis, r: int, c: float, budget: int) -> TheoremVerdict:
     if r < 2:
         raise ValueError("r must be at least 2")
-    hyp, hyp_cert, hyp_detail = _lekd_hypothesis(g, r)
+    g = a.g
+    hyp, hyp_cert, hyp_detail = _lekd_hypothesis(a, r)
     conclusion, cert, detail, vacuous = _kr_plus_branch(
         g, r, c, budget, lambda c: 1.0 - c * r**3
     )
@@ -565,11 +662,16 @@ def check_edge_implies_spectral(
     g: Graph, r: int, tol: float = DEFAULT_TOL
 ) -> TheoremVerdict:
     """e(G) > e(T_r(n))  =>  mu(G) > mu(T_r(n))."""
+    return _check_edge_implies_spectral(_GraphAnalysis(g), r, tol)
+
+
+def _check_edge_implies_spectral(a: _GraphAnalysis, r: int, tol: float) -> TheoremVerdict:
     if r < 2:
         raise ValueError("r must be at least 2")
+    g = a.g
     e_g = g.edge_count()
     e_t = turan_edge_count(g.n, r)
-    cmp = compare_mu_to_turan(g, r, tol) if g.n >= 1 else None
+    cmp = a.turan(r, tol) if g.n >= 1 else None
     if cmp is None:
         conclusion = TriState.NO
         detail = {}
@@ -594,7 +696,12 @@ def check_edge_implies_spectral(
 def check_book_remark(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVerdict:
     """mu(G) > mu(T_r(n))  =>  many (r+1)-cliques share an r-clique; checked
     as existence, with the book size reported for the cn-scaling remark."""
-    cmp = compare_mu_to_turan(g, r, tol)
+    return _check_book_remark(_GraphAnalysis(g), r, tol)
+
+
+def _check_book_remark(a: _GraphAnalysis, r: int, tol: float) -> TheoremVerdict:
+    g = a.g
+    cmp = a.turan(r, tol)
     report = book_size(g, r)
     cert = None
     if report.base_clique is not None:
@@ -634,10 +741,9 @@ class StabilityWitness:
     coloring: tuple[int, ...]  # color of vertices[i]
 
 
-def _conflict_peel_order(g: Graph, members: list[int], r: int) -> int:
+def _conflict_peel_order(sub: Graph, members: list[int], r: int) -> int:
     """Vertex to evict: most monochromatic conflicts under a best-effort
-    greedy r-coloring of the induced subgraph (ties lowest index)."""
-    sub = g.induced_subgraph(members)
+    greedy r-coloring of sub = G[members] (ties lowest index)."""
     order = sorted(range(sub.n), key=lambda v: (-sub.degree(v), v))
     colors = [-1] * sub.n
     classes = [0] * r  # bitset of the vertices colored so far, per color
@@ -705,7 +811,7 @@ def find_stability_witness(
         if res.status is SearchStatus.FOUND:
             coloring = res.coloring
             break
-        evict = _conflict_peel_order(g, members, r)
+        evict = _conflict_peel_order(sub, members, r)
         members.remove(evict)
     evicted = set(_degree_peel_order(g, members, degree_threshold))
     members = [v for v in members if v not in evicted]
@@ -760,13 +866,30 @@ def check_stability(
     expose the (4, 7) constants; (3, 6) reproduces the weaker companion
     statement whose printed form mixes b and c.
     """
+    return _check_stability(
+        _GraphAnalysis(g), r, b, which, tol, budget, c, order_coeff, degree_coeff
+    )
+
+
+def _check_stability(
+    a: _GraphAnalysis,
+    r: int,
+    b: float,
+    which: TheoremId,
+    tol: float,
+    budget: int,
+    c: float | None,
+    order_coeff: float = 4.0,
+    degree_coeff: float = 7.0,
+) -> TheoremVerdict:
     if which not in (TheoremId.T1_2, TheoremId.T2_2, TheoremId.T3_2):
         raise ValueError(f"not a stability theorem: {which}")
     if r < 2:
         raise ValueError("r must be at least 2")
+    g = a.g
     n = g.n
     threshold = _stability_threshold(g, r, b)
-    cmp = compare_mu_to_threshold(g, threshold, tol)
+    cmp = _compare_estimate(a.estimate(tol), threshold, tol)
     params_obj = TheoremParams(r=r, n=n, c=c, b=b)
 
     cbrt = b ** (1.0 / 3.0)
@@ -778,7 +901,7 @@ def check_stability(
     a_cert: dict | None = None
     a_lhs = a_rhs = None
     if which is TheoremId.T1_2:
-        report = joint_size(g, r + 1)
+        report = a.joint(r + 1)
         bound = Fraction(n ** (r - 1), r ** (2 * r + 5))
         a_state = TriState.YES if Fraction(report.size) > bound else TriState.NO
         a_lhs, a_rhs = str(report.size), str(bound)
@@ -874,8 +997,9 @@ class ExactHook:
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """A checker, the run_check parameters it takes after (g, r) in order,
-    and how its ties are settled.  Graph-free checkers take n for g."""
+    """A checker body, the run_check parameters it takes after (analysis, r)
+    in order, and how its ties are settled.  Graph-free checkers take n for
+    the analysis."""
 
     checker: Callable[..., TheoremVerdict]
     params: tuple[str, ...]
@@ -889,24 +1013,53 @@ _STABILITY = ("b", "which", "tol", "budget", "c")
 _STABILITY_HYP = ExactHook("hypothesis", _stability_threshold)
 
 CHECKS: dict[TheoremId, CheckSpec] = {
-    TheoremId.FACT_STT: CheckSpec(check_spectral_turan, ("tol",), _TURAN_HYP),
-    TheoremId.T1: CheckSpec(check_theorem1, ("tol",), _TURAN_HYP),
-    TheoremId.T2: CheckSpec(check_theorem2, ("c", "tol", "budget"), _TURAN_HYP, needs_c=True),
-    TheoremId.T3: CheckSpec(check_theorem3, ("tol", "budget", "c"), _TURAN_HYP),
-    TheoremId.T1_2: CheckSpec(check_stability, _STABILITY, _STABILITY_HYP),
-    TheoremId.T2_2: CheckSpec(check_stability, _STABILITY, _STABILITY_HYP),
-    TheoremId.T3_2: CheckSpec(check_stability, _STABILITY, _STABILITY_HYP),
+    TheoremId.FACT_STT: CheckSpec(_check_spectral_turan, ("tol",), _TURAN_HYP),
+    TheoremId.T1: CheckSpec(_check_theorem1, ("tol",), _TURAN_HYP),
+    TheoremId.T2: CheckSpec(_check_theorem2, ("c", "tol", "budget"), _TURAN_HYP, needs_c=True),
+    TheoremId.T3: CheckSpec(_check_theorem3, ("tol", "budget", "c"), _TURAN_HYP),
+    TheoremId.T1_2: CheckSpec(_check_stability, _STABILITY, _STABILITY_HYP),
+    TheoremId.T2_2: CheckSpec(_check_stability, _STABILITY, _STABILITY_HYP),
+    TheoremId.T3_2: CheckSpec(_check_stability, _STABILITY, _STABILITY_HYP),
     TheoremId.FACT_LENSLMM: CheckSpec(
-        check_fact_lenslmm, ("tol",), ExactHook("conclusion", _lenslmm_mu_bound, False)
+        _check_fact_lenslmm, ("tol",), ExactHook("conclusion", _lenslmm_mu_bound, False)
     ),
     TheoremId.FACT_TSIZE: CheckSpec(check_fact_tsize, (), graph_free=True),
-    TheoremId.FACT_LEKD: CheckSpec(check_fact_lekd, ()),
-    TheoremId.FACT_THV4: CheckSpec(check_fact_thv4, ("c", "budget"), needs_c=True),
+    TheoremId.FACT_LEKD: CheckSpec(_check_fact_lekd, ()),
+    TheoremId.FACT_THV4: CheckSpec(_check_fact_thv4, ("c", "budget"), needs_c=True),
     TheoremId.EDGE_IMPLIES_SPECTRAL: CheckSpec(
-        check_edge_implies_spectral, ("tol",), ExactHook("conclusion")
+        _check_edge_implies_spectral, ("tol",), ExactHook("conclusion")
     ),
-    TheoremId.BOOK_REMARK: CheckSpec(check_book_remark, ("tol",), _TURAN_HYP),
+    TheoremId.BOOK_REMARK: CheckSpec(_check_book_remark, ("tol",), _TURAN_HYP),
 }
+
+
+def run_checks(
+    tids: Sequence[TheoremId],
+    g: Graph | int,
+    r: int,
+    *,
+    tol: float = DEFAULT_TOL,
+    budget: int = DEFAULT_BUDGET,
+    c: float | None = None,
+    b: float = DEFAULT_B,
+) -> list[TheoremVerdict]:
+    """The verdicts of the checkers of `tids`, in order, on one graph g (the
+    order n for tsize).  They run against one `_GraphAnalysis`, so mu, the
+    Turan comparison, k_r, the least K_{r+1} and js_{r+1} are computed at
+    most once for all of them.  c None means each checker's default; t2 and
+    thv4 have none and raise before any checker runs."""
+    for tid in tids:
+        if CHECKS[tid].needs_c and c is None:
+            raise ValueError(f"{tid.label} needs an explicit c")
+    analysis = _GraphAnalysis(g)
+    given: dict = {"tol": tol, "budget": budget, "c": c, "b": b}
+    verdicts = []
+    for tid in tids:
+        spec = CHECKS[tid]
+        given["which"] = tid
+        target = g if spec.graph_free else analysis
+        verdicts.append(spec.checker(target, r, *(given[p] for p in spec.params)))
+    return verdicts
 
 
 def run_check(
@@ -919,10 +1072,5 @@ def run_check(
     c: float | None = None,
     b: float = DEFAULT_B,
 ) -> TheoremVerdict:
-    """Run the checker of `tid` on g (the order n for tsize).  c None means
-    the checker's default; t2 and thv4 have none and raise."""
-    spec = CHECKS[tid]
-    if spec.needs_c and c is None:
-        raise ValueError(f"{tid.label} needs an explicit c")
-    given = {"tol": tol, "budget": budget, "c": c, "b": b, "which": tid}
-    return spec.checker(g, r, *(given[p] for p in spec.params))
+    """Run the checker of `tid` on g (the order n for tsize); see `run_checks`."""
+    return run_checks((tid,), g, r, tol=tol, budget=budget, c=c, b=b)[0]

@@ -293,6 +293,22 @@ def reference_degree_peel_order(
     return victims
 
 
+def reference_embedder_rows(g: Graph) -> list[int]:
+    """The rows of G relabelled by descending degree (ties lowest index),
+    built one bit at a time."""
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    to_new = [0] * g.n
+    for new, old in enumerate(order):
+        to_new[old] = new
+    adj = [0] * g.n
+    for old in range(g.n):
+        row = 0
+        for u in _iter_bits(g.neighbors_mask(old)):
+            row |= 1 << to_new[u]
+        adj[to_new[old]] = row
+    return adj
+
+
 class ReferenceCapHit(Exception):
     pass
 

@@ -1,15 +1,22 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specturan import cli, harness
-from specturan.graph import graph_from_edge_mask, make_turan
+from specturan import cli, harness, spectral, theorems
+from specturan.graph import (
+    graph_from_edge_mask,
+    make_turan,
+    make_turan_plus_edge,
+    random_gnm,
+)
 from specturan.harness import (
     ExperimentConfig,
     _apply_check_resolved,
+    _apply_checks_resolved,
     _exact_flag,
     _mask_classes,
     run_exhaustive,
@@ -586,3 +593,108 @@ class TestRunExperiment:
         )
         rep = run_experiment(cfg)
         assert rep.instances_checked == (8 + 64) * 2
+
+
+HUNT_CHECKS = ("stt", "t1", "t2", "t1.2", "lenslmm")
+PER_GRAPH_CHECKS = (
+    "stt", "t1", "t2", "t3", "t1.2", "t2.2", "t3.2",
+    "lenslmm", "lekd", "thv4", "edge-spectral", "book",
+)
+
+
+class TestOneAnalysisPerGraph:
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_resolved_together_equals_one_by_one(self, r):
+        # Ties on T_r(n) (and, with b = 0, on the stability threshold when
+        # r divides n) go through the exact settlement on both sides.
+        rng = SplitMix64(101 + r)
+        cfg = ExperimentConfig(
+            mode="family_sweep", n_min=r + 1, n_max=9, r=r,
+            checks=PER_GRAPH_CHECKS, c=0.6, b=0.0,
+        )
+        assert {TheoremId(c) for c in PER_GRAPH_CHECKS} == {
+            t for t in TheoremId if not CHECKS[t].graph_free
+        }
+        settled = 0
+        for n in range(r + 1, 10):
+            t = make_turan(n, r)
+            hosts = [t, t.without_edge(*next(t.edges()))]
+            if n >= 2 * r:
+                hosts.append(make_turan_plus_edge(n, r))
+            m = min(turan_edge_count(n, r) + rng.below(3) - 1, n * (n - 1) // 2)
+            hosts.append(random_gnm(n, m, rng.next_u64()))
+            for g in hosts:
+                together = _apply_checks_resolved(cfg, cfg.checks, g)
+                one_by_one = [_apply_check_resolved(cfg, c, g) for c in cfg.checks]
+                assert [v.to_json_dict() for v in together] == [
+                    v.to_json_dict() for v in one_by_one
+                ], g
+                settled += sum(
+                    "hypothesis_resolved" in v.detail or "conclusion_resolved" in v.detail
+                    for v in together
+                )
+        assert settled > 0
+
+    def test_one_estimate_and_joint_per_graph(self, monkeypatch):
+        calls: Counter = Counter()
+
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        estimate = counting("spectral_radius", spectral.spectral_radius)
+        monkeypatch.setattr(spectral, "spectral_radius", estimate)
+        monkeypatch.setattr(theorems, "spectral_radius", estimate)
+        monkeypatch.setattr(
+            spectral, "turan_mu_exact", counting("turan_mu_exact", spectral.turan_mu_exact)
+        )
+        joint = theorems.joint_size
+
+        def counted_joint(g, q, *args):
+            calls[f"joint_size/{q}"] += 1
+            return joint(g, q, *args)
+
+        monkeypatch.setattr(theorems, "joint_size", counted_joint)
+        cfg = ExperimentConfig(
+            mode="random_hunt", n_min=8, n_max=14, r=3, checks=HUNT_CHECKS,
+            trials=3, c=0.6,
+        )
+        graphs = 7 * 3
+        once = {"spectral_radius": graphs, "turan_mu_exact": graphs, "joint_size/4": graphs}
+        run_experiment(cfg)
+        assert calls == once
+        # Nothing is kept from one experiment to the next.
+        run_experiment(cfg)
+        assert calls == {key: 2 * count for key, count in once.items()}
+
+    @pytest.mark.parametrize(
+        "recorded, settings",
+        [
+            (
+                f"random_hunt_r{r}.json",
+                dict(
+                    mode="random_hunt", r=r, n_min=6, n_max=30, trials=4,
+                    checks=HUNT_CHECKS, c=0.6, seed=2, m_offset=-1,
+                ),
+            )
+            for r in (2, 3)
+        ]
+        + [
+            (
+                f"family_sweep_r{r}.json",
+                dict(
+                    mode="family_sweep", r=r, n_min=2, n_max=12,
+                    checks=PER_GRAPH_CHECKS, c=0.6, b=0.0,
+                ),
+            )
+            for r in (2, 3)
+        ],
+    )
+    def test_report_matches_per_check_recording(self, recorded, settings):
+        # Recorded from the harness that ran every check on its own.
+        got = json.loads(run_experiment(ExperimentConfig(**settings)).to_json_text())
+        want = json.loads((DATA / recorded).read_text())
+        assert got == _approx_floats(want)

@@ -14,6 +14,7 @@ from oracles import (
     brute_has_multipartite,
     brute_joint_size,
     reference_backtrack_color,
+    reference_embedder_rows,
     reference_two_color,
 )
 from specturan.graph import (
@@ -29,6 +30,7 @@ from specturan.graph import (
 from specturan.rng import SplitMix64
 from specturan.subgraph import (
     Embedding,
+    _Embedder,
     _clique_bound,
     _greedy_colorable,
     _two_color,
@@ -208,6 +210,20 @@ class TestJointSize:
                 rep = joint_size(g, r)
                 assert (rep.size, rep.witness_edge) == brute_joint_size(g, r), (g._adj, r)
 
+    def test_js4_matches_brute_on_seeded_r3_hosts(self):
+        # Cliques of order 2 inside common neighbourhoods: the bound is the
+        # memoized exact count, hosts just around e(T_3(n)).
+        rng = SplitMix64(113)
+        for n in range(5, 15):
+            for offset in (-2, 0, 1, 3):
+                m = min(make_turan(n, 3).edge_count() + offset, n * (n - 1) // 2)
+                g = random_gnm(n, m, rng.next_u64())
+                rep = joint_size(g, 4)
+                assert (rep.size, rep.witness_edge) == brute_joint_size(g, 4), (g._adj,)
+            g = make_turan_plus_edge(n, 3)
+            rep = joint_size(g, 4)
+            assert (rep.size, rep.witness_edge) == brute_joint_size(g, 4), n
+
 
 class TestCliqueBound:
     def test_matches_brute_force_maximum(self):
@@ -232,6 +248,10 @@ class TestCliqueBound:
                     b = m - a * (a - 1) // 2
                     if a + (b > 0) <= n:
                         assert bound == most, (n, m, k)
+
+    def test_edges_bound_themselves(self):
+        # Why joint_size uses the exact count as its bound for js_4.
+        assert all(_clique_bound(m, 2) == m for m in range(200_000))
 
     def test_exact_above_float_precision(self):
         a = 10**6 + 7
@@ -373,6 +393,37 @@ class TestFindCompleteMultipartite:
                 assert (res.status is SearchStatus.FOUND) == expected
                 if res.embedding is not None:
                     validate_embedding(g, sizes, res.embedding, False)
+
+
+class TestEmbedderRelabelling:
+    @staticmethod
+    def _hosts():
+        """Seeded G(n, m), and shuffled twin blow-ups of them with class
+        sizes 1..3, where many degrees tie."""
+        rng = SplitMix64(127)
+        for _ in range(150):
+            n = 1 + rng.below(14)
+            g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), rng.next_u64())
+            yield g
+            origin = [v for v in range(n) for _ in range(1 + rng.below(3))]
+            perm = list(range(len(origin)))
+            for i in range(len(perm) - 1, 0, -1):
+                j = rng.below(i + 1)
+                perm[i], perm[j] = perm[j], perm[i]
+            yield Graph.from_edges(
+                len(origin),
+                [
+                    (perm[a], perm[b])
+                    for a, b in itertools.combinations(range(len(origin)), 2)
+                    if g.has_edge(origin[a], origin[b])
+                ],
+            )
+
+    def test_rows_match_bit_by_bit_relabelling(self):
+        for g in self._hosts():
+            emb = _Embedder(g, 1)
+            assert emb.adj == reference_embedder_rows(g), g._adj
+            assert [emb.to_new[v] for v in emb.to_orig] == list(range(g.n))
 
 
 class TestFindKrPlus:

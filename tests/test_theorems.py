@@ -19,6 +19,7 @@ from specturan.graph import (
 )
 from specturan.rng import SplitMix64
 from specturan.theorems import (
+    CHECKS,
     TheoremId,
     TheoremParams,
     TriState,
@@ -40,6 +41,7 @@ from specturan.theorems import (
     find_stability_witness,
     floor_c_log_n,
     run_check,
+    run_checks,
     turan_edge_count,
 )
 
@@ -346,7 +348,8 @@ class TestStabilityWitness:
             n = 2 + rng.below(15)
             g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), rng.next_u64())
             members = [v for v in range(n) if rng.below(4)] or [rng.below(n)]
-            assert _conflict_peel_order(g, members, r) == reference_conflict_peel_order(
+            sub = g.induced_subgraph(members)
+            assert _conflict_peel_order(sub, members, r) == reference_conflict_peel_order(
                 g, members, r
             )
 
@@ -420,3 +423,67 @@ class TestTuranEdgeCount:
         for n in range(0, 40):
             for r in range(1, 8):
                 assert turan_edge_count(n, r) == make_turan(n, r).edge_count()
+
+
+def _sharing_hosts(r: int) -> list[Graph]:
+    """T_r(n), T_r(n) - e, T_r(n) + e and seeded G(n, m) with m within one
+    of e(T_r(n)): hosts whose spectral comparisons tie, clear and miss."""
+    rng = SplitMix64(97 + r)
+    hosts = []
+    for n in range(r + 1, 10):
+        t = make_turan(n, r)
+        hosts += [t, t.without_edge(*next(t.edges()))]
+        if n >= 2 * r:
+            hosts.append(make_turan_plus_edge(n, r))
+        m = min(turan_edge_count(n, r) + rng.below(3) - 1, n * (n - 1) // 2)
+        hosts.append(random_gnm(n, m, rng.next_u64()))
+    return hosts
+
+
+GRAPH_CHECKS = [t for t in TheoremId if not CHECKS[t].graph_free]
+
+# Each graph-taking check through its public function, on a fresh analysis.
+FRESH = {
+    TheoremId.FACT_STT: lambda g, r, c, b: check_spectral_turan(g, r),
+    TheoremId.T1: lambda g, r, c, b: check_theorem1(g, r),
+    TheoremId.T2: lambda g, r, c, b: check_theorem2(g, r, c),
+    TheoremId.T3: lambda g, r, c, b: check_theorem3(g, r, c_override=c),
+    TheoremId.T1_2: lambda g, r, c, b: check_stability(g, r, b, TheoremId.T1_2, c=c),
+    TheoremId.T2_2: lambda g, r, c, b: check_stability(g, r, b, TheoremId.T2_2, c=c),
+    TheoremId.T3_2: lambda g, r, c, b: check_stability(g, r, b, TheoremId.T3_2, c=c),
+    TheoremId.FACT_LENSLMM: lambda g, r, c, b: check_fact_lenslmm(g, r),
+    TheoremId.FACT_LEKD: lambda g, r, c, b: check_fact_lekd(g, r),
+    TheoremId.FACT_THV4: lambda g, r, c, b: check_fact_thv4(g, r, c),
+    TheoremId.EDGE_IMPLIES_SPECTRAL: lambda g, r, c, b: check_edge_implies_spectral(g, r),
+    TheoremId.BOOK_REMARK: lambda g, r, c, b: check_book_remark(g, r),
+}
+
+
+class TestRunChecks:
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_shared_analysis_equals_fresh_checks(self, r):
+        assert set(FRESH) == set(GRAPH_CHECKS)
+        for g in _sharing_hosts(r):
+            for b in (0.0, 1e-6):
+                shared = run_checks(GRAPH_CHECKS, g, r, c=0.6, b=b)
+                fresh = [FRESH[tid](g, r, 0.6, b) for tid in GRAPH_CHECKS]
+                assert [v.to_json_dict() for v in shared] == [
+                    v.to_json_dict() for v in fresh
+                ], (g, b)
+
+    def test_run_check_is_one_of_run_checks(self):
+        g = make_turan_plus_edge(9, 3)
+        for tid in TheoremId:
+            target = 9 if CHECKS[tid].graph_free else g
+            one = run_check(tid, target, 3, c=0.6)
+            assert one.to_json_dict() == run_checks((tid,), target, 3, c=0.6)[0].to_json_dict()
+
+    def test_missing_c_raises_before_any_checker(self, monkeypatch):
+        from specturan import theorems
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("a checker ran")
+
+        monkeypatch.setattr(theorems, "spectral_radius", no_estimate)
+        with pytest.raises(ValueError, match="theorem t2 needs an explicit c"):
+            run_checks([TheoremId.FACT_STT, TheoremId.T2], make_turan(6, 2), 2)
