@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from specturan.graph import Graph
+from specturan.graph import Graph, make_turan, make_turan_plus_edge, random_gnm
+from specturan.rng import SplitMix64
 
 
 def is_clique(g: Graph, vertices: tuple[int, ...]) -> bool:
@@ -208,6 +209,22 @@ def turan_plus_edge_mu(n: int, r: int) -> float:
     lam = sympy.Symbol("lam")
     poly = sympy.Matrix(quotient).charpoly(lam)
     return float(sympy.Poly(poly.as_expr(), lam).real_roots()[-1].evalf(30))
+
+
+def turan_neighbourhood_hosts(r: int, seed: int) -> list[Graph]:
+    """T_r(n), T_r(n) - e, T_r(n) + e and seeded G(n, m) with m within one
+    of e(T_r(n)), for r < n < 10: hosts whose spectral comparisons with
+    mu(T_r(n)) tie, clear and miss."""
+    rng = SplitMix64(seed)
+    hosts = []
+    for n in range(r + 1, 10):
+        t = make_turan(n, r)
+        hosts += [t, t.without_edge(*next(t.edges()))]
+        if n >= 2 * r:
+            hosts.append(make_turan_plus_edge(n, r))
+        m = min(t.edge_count() + rng.below(3) - 1, n * (n - 1) // 2)
+        hosts.append(random_gnm(n, m, rng.next_u64()))
+    return hosts
 
 
 # Reference implementations kept from before the bitset rewrites of the

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from specturan import cli, harness, spectral, theorems
-from specturan.graph import (
-    graph_from_edge_mask,
-    make_turan,
-    make_turan_plus_edge,
-    random_gnm,
-)
+from specturan.graph import graph_from_edge_mask, make_turan
 from specturan.harness import (
     ExperimentConfig,
     _apply_check_resolved,
@@ -41,7 +36,7 @@ from specturan.theorems import (
     run_check,
     turan_edge_count,
 )
-from oracles import canonical_mask
+from oracles import canonical_mask, turan_neighbourhood_hosts
 
 
 DATA = Path(__file__).parent / "data"
@@ -607,7 +602,6 @@ class TestOneAnalysisPerGraph:
     def test_resolved_together_equals_one_by_one(self, r):
         # Ties on T_r(n) (and, with b = 0, on the stability threshold when
         # r divides n) go through the exact settlement on both sides.
-        rng = SplitMix64(101 + r)
         cfg = ExperimentConfig(
             mode="family_sweep", n_min=r + 1, n_max=9, r=r,
             checks=PER_GRAPH_CHECKS, c=0.6, b=0.0,
@@ -616,23 +610,16 @@ class TestOneAnalysisPerGraph:
             t for t in TheoremId if not CHECKS[t].graph_free
         }
         settled = 0
-        for n in range(r + 1, 10):
-            t = make_turan(n, r)
-            hosts = [t, t.without_edge(*next(t.edges()))]
-            if n >= 2 * r:
-                hosts.append(make_turan_plus_edge(n, r))
-            m = min(turan_edge_count(n, r) + rng.below(3) - 1, n * (n - 1) // 2)
-            hosts.append(random_gnm(n, m, rng.next_u64()))
-            for g in hosts:
-                together = _apply_checks_resolved(cfg, cfg.checks, g)
-                one_by_one = [_apply_check_resolved(cfg, c, g) for c in cfg.checks]
-                assert [v.to_json_dict() for v in together] == [
-                    v.to_json_dict() for v in one_by_one
-                ], g
-                settled += sum(
-                    "hypothesis_resolved" in v.detail or "conclusion_resolved" in v.detail
-                    for v in together
-                )
+        for g in turan_neighbourhood_hosts(r, 101 + r):
+            together = _apply_checks_resolved(cfg, cfg.checks, g)
+            one_by_one = [_apply_check_resolved(cfg, c, g) for c in cfg.checks]
+            assert [v.to_json_dict() for v in together] == [
+                v.to_json_dict() for v in one_by_one
+            ], g
+            settled += sum(
+                "hypothesis_resolved" in v.detail or "conclusion_resolved" in v.detail
+                for v in together
+            )
         assert settled > 0
 
     def test_one_estimate_and_joint_per_graph(self, monkeypatch):

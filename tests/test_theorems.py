@@ -8,6 +8,7 @@ from oracles import (
     brute_joint_size,
     reference_conflict_peel_order,
     reference_degree_peel_order,
+    turan_neighbourhood_hosts,
 )
 from specturan.graph import (
     Graph,
@@ -425,21 +426,6 @@ class TestTuranEdgeCount:
                 assert turan_edge_count(n, r) == make_turan(n, r).edge_count()
 
 
-def _sharing_hosts(r: int) -> list[Graph]:
-    """T_r(n), T_r(n) - e, T_r(n) + e and seeded G(n, m) with m within one
-    of e(T_r(n)): hosts whose spectral comparisons tie, clear and miss."""
-    rng = SplitMix64(97 + r)
-    hosts = []
-    for n in range(r + 1, 10):
-        t = make_turan(n, r)
-        hosts += [t, t.without_edge(*next(t.edges()))]
-        if n >= 2 * r:
-            hosts.append(make_turan_plus_edge(n, r))
-        m = min(turan_edge_count(n, r) + rng.below(3) - 1, n * (n - 1) // 2)
-        hosts.append(random_gnm(n, m, rng.next_u64()))
-    return hosts
-
-
 GRAPH_CHECKS = [t for t in TheoremId if not CHECKS[t].graph_free]
 
 # Each graph-taking check through its public function, on a fresh analysis.
@@ -463,20 +449,13 @@ class TestRunChecks:
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_shared_analysis_equals_fresh_checks(self, r):
         assert set(FRESH) == set(GRAPH_CHECKS)
-        for g in _sharing_hosts(r):
+        for g in turan_neighbourhood_hosts(r, 97 + r):
             for b in (0.0, 1e-6):
                 shared = run_checks(GRAPH_CHECKS, g, r, c=0.6, b=b)
                 fresh = [FRESH[tid](g, r, 0.6, b) for tid in GRAPH_CHECKS]
                 assert [v.to_json_dict() for v in shared] == [
                     v.to_json_dict() for v in fresh
                 ], (g, b)
-
-    def test_run_check_is_one_of_run_checks(self):
-        g = make_turan_plus_edge(9, 3)
-        for tid in TheoremId:
-            target = 9 if CHECKS[tid].graph_free else g
-            one = run_check(tid, target, 3, c=0.6)
-            assert one.to_json_dict() == run_checks((tid,), target, 3, c=0.6)[0].to_json_dict()
 
     def test_missing_c_raises_before_any_checker(self, monkeypatch):
         from specturan import theorems
