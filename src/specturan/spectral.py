@@ -1,5 +1,5 @@
-"""Largest adjacency eigenvalue: iterative estimates, exact multipartite
-solver, and certified comparisons; no other module estimates or compares mu.
+"""Largest adjacency eigenvalue: iterative estimates, exact roots, and
+certified comparisons; no other module estimates or compares mu.
 
 The estimator is power iteration on A + I (the shift defeats the +/-mu
 oscillation of bipartite spectra), run on the twin quotient: with the
@@ -26,8 +26,14 @@ for the power iteration.
 
 Every comparison goes through `interval_flags`: the estimate is widened by
 its residual, the reference by a tolerance, and overlapping intervals yield
-INCONCLUSIVE rather than a silent float decision.  A sympy-backed exact
-algebraic comparison settles the genuine ties an exhaustive scan produces.
+INCONCLUSIVE rather than a silent float decision.  The genuine ties an
+exhaustive scan produces are settled exactly on the same twin quotient:
+with integer B[i][j] = |row(class i) ∩ class j| = s_j Q[i][j], the
+equitable partition makes mu(G) the largest real root of B's
+characteristic polynomial (Godsil & Royle, Algebraic Graph Theory, §9.3),
+which sympy isolates as an algebraic number.  K(s_1, ..., s_r) is the case
+B[i][j] = s_j for i != j, so `_largest_root` serves both sides of every
+exact comparison.
 """
 
 from __future__ import annotations
@@ -167,6 +173,17 @@ def _component_power_iteration(
     return rho - shift, res, iters, converged, x
 
 
+def _twin_quotient(g: Graph) -> tuple[Graph, list[int]]:
+    """(Q, class sizes) of G's twin classes, in order of least member; Q is
+    G itself when G is twin-free.  Twins are never adjacent, so Q, the
+    graph of the classes' least members, is the 0/1 class graph."""
+    if len(set(g._adj)) == g.n:
+        return g, [1] * g.n
+    classes = g.twin_classes().values()
+    quotient = g.induced_subgraph([(m & -m).bit_length() - 1 for m in classes])
+    return quotient, [m.bit_count() for m in classes]
+
+
 def spectral_radius(
     g: Graph, tol: float = DEFAULT_TOL, max_iter: int | None = None
 ) -> SpectralEstimate:
@@ -182,15 +199,10 @@ def spectral_radius(
         max_iter = default_max_iter(g.n)
     if g.n == 0:
         return SpectralEstimate(0.0, 0.0, 0, True)
-    # Twins are never adjacent, so the representatives' induced subgraph
-    # is the class graph Q.  Its components are G's, in the same order,
-    # except that G's isolated vertices share one singleton class.
-    if len(set(g._adj)) == g.n:
-        quotient, sizes = g, None
-    else:
-        classes = g.twin_classes().values()
-        quotient = g.induced_subgraph([(m & -m).bit_length() - 1 for m in classes])
-        sizes = np.array([m.bit_count() for m in classes], dtype=np.float64)
+    # Q's components are G's, in the same order, except that G's isolated
+    # vertices share one singleton class.
+    quotient, counts = _twin_quotient(g)
+    sizes = None if quotient is g else np.array(counts, dtype=np.float64)
     q_full = quotient.to_numpy()
     best_value = -math.inf
     best_res = 0.0
@@ -405,87 +417,48 @@ def compare_mu_to_threshold(
     return _compare_estimate(spectral_radius(g, tol=tol), Fraction(threshold), tol)
 
 
-def _multipartite_char_poly_expr(sizes: Sequence[int]):
-    """prod_i (lam + s_i) - sum_i s_i prod_{j != i} (lam + s_j), in sympy.
-
-    Its largest real root is mu(K(sizes)).
-    """
+def _largest_root(b: list[list[int]]):
+    """Largest real root of the characteristic polynomial of the integer
+    matrix b, as an exact sympy algebraic number; 0 for the empty matrix."""
     import sympy
 
-    lam = sympy.Symbol("lam")
-    positive = [s for s in sizes if s > 0]
-    if len(positive) <= 1:
-        return lam, lam
-    prod_all = sympy.Integer(1)
-    for s in positive:
-        prod_all *= lam + s
-    total = sympy.Integer(0)
-    for i, s in enumerate(positive):
-        term = sympy.Integer(s)
-        for j, t in enumerate(positive):
-            if j != i:
-                term *= lam + t
-        total += term
-    return lam, sympy.expand(prod_all - total)
+    if not b:
+        return sympy.Integer(0)
+    return sympy.Matrix(b).charpoly(sympy.Symbol("lam")).real_roots()[-1]
 
 
 def _exact_mu(g: Graph):
-    """mu(G) as an exact sympy algebraic number: the largest real root of
-    the adjacency characteristic polynomial (0 for the empty graph)."""
-    import sympy
-
-    if g.n == 0:
-        return sympy.Integer(0)
-    lam = sympy.Symbol("lam")
-    m = sympy.Matrix(g.n, g.n, lambda i, j: 1 if i != j and g.has_edge(i, j) else 0)
-    return sympy.Poly(m.charpoly(lam).as_expr(), lam).real_roots()[-1]
+    """mu(G) exactly, on the integer twin quotient B[i][j] = s_j Q[i][j]."""
+    quotient, sizes = _twin_quotient(g)
+    return _largest_root(
+        [[s * (row >> j & 1) for j, s in enumerate(sizes)] for row in quotient._adj]
+    )
 
 
 def exact_mu_greater_than_rational(g: Graph, threshold: Fraction) -> bool:
-    """Exact decision of mu(G) > threshold for rational threshold (sympy)."""
+    """Exact decision of mu(G) > threshold for rational threshold.
+
+    mu(G) is the largest real root of the characteristic polynomial of the
+    k x k integer twin quotient (see the module docstring), compared with
+    the threshold by sympy's real-root isolation.
+    """
     import sympy
 
     ref = sympy.Rational(threshold.numerator, threshold.denominator)
     return bool(_exact_mu(g) > ref)
 
 
-def _complete_multipartite_parts(g: Graph) -> list[int] | None:
-    """Part sizes of G if it is complete multipartite, else None.
-
-    The parts of a complete multipartite graph are its classes of
-    identical rows, and each row is the complement of its own class.
-    """
-    groups = g.twin_classes()
-    full = (1 << g.n) - 1
-    if any(row != full & ~members for row, members in groups.items()):
-        return None
-    return [members.bit_count() for members in groups.values()]
-
-
-def _multipartite_mu(sizes: Sequence[int]):
-    """mu(K(sizes)) as an exact sympy algebraic number."""
-    import sympy
-
-    lam, expr = _multipartite_char_poly_expr(sizes)
-    return sympy.Poly(expr, lam).real_roots()[-1]
-
-
 def compare_mu_exact_multipartite(g: Graph, sizes: Sequence[int]) -> Verdict:
     """Exact algebraic decision of mu(G) > mu(K(sizes)); never INCONCLUSIVE.
 
-    Both quantities are algebraic numbers: mu(G) is the largest real root
-    of the adjacency characteristic polynomial, the reference the largest
-    real root of the multipartite quotient polynomial.  sympy's real-root
-    isolation compares them exactly.  When G is itself complete
-    multipartite (e.g. G = T_r(n)), its quotient polynomial stands in for
-    the n x n characteristic polynomial.  Intended for the few near-tie
-    instances per scan, not as the bulk path.
+    Both sides are the largest real root of an integer quotient matrix:
+    G's twin quotient, and K(sizes)'s, B[i][j] = s_j for i != j over the
+    nonzero parts.  sympy isolates both roots exactly; equal algebraic
+    numbers share their minimal polynomial, so a tie such as G = T_r(n)
+    against its own part sizes compares equal.  Intended for the few
+    near-tie instances per scan, not as the bulk path.
     """
-    parts = _complete_multipartite_parts(g)
-    if parts is None:
-        mu_g = _exact_mu(g)
-    elif sorted(parts) == sorted(s for s in sizes if s > 0):
-        return Verdict.NOT_GREATER
-    else:
-        mu_g = _multipartite_mu(parts)
-    return Verdict.GREATER if mu_g > _multipartite_mu(sizes) else Verdict.NOT_GREATER
+    parts = [s for s in sizes if s > 0]
+    quotient = [[s * (i != j) for j, s in enumerate(parts)] for i in range(len(parts))]
+    mu_ref = _largest_root(quotient)
+    return Verdict.GREATER if _exact_mu(g) > mu_ref else Verdict.NOT_GREATER

@@ -80,6 +80,18 @@ def eig_mu(g: Graph) -> float:
     return float(np.linalg.eigvalsh(g.to_numpy())[-1])
 
 
+def charpoly_mu(g: Graph):
+    """mu(G) as an exact sympy algebraic number: the largest real root of
+    the n x n adjacency characteristic polynomial (0 for the empty graph)."""
+    import sympy
+
+    if g.n == 0:
+        return sympy.Integer(0)
+    lam = sympy.Symbol("lam")
+    m = sympy.Matrix(g.n, g.n, lambda i, j: 1 if i != j and g.has_edge(i, j) else 0)
+    return sympy.Poly(m.charpoly(lam).as_expr(), lam).real_roots()[-1]
+
+
 def brute_has_multipartite(g: Graph, sizes: tuple[int, ...]) -> bool:
     """Exhaustive test for a complete multipartite subgraph (tiny hosts)."""
     total = sum(sizes)

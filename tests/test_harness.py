@@ -467,6 +467,27 @@ class TestFamilySweep:
         for row in rep.stats["verdicts"]:
             assert row["hypothesis"] == "no"
 
+    def test_turan_150_ties_settle_exactly(self):
+        # T_3(150) ties its t1.2 threshold at b = 0, so the hypothesis is
+        # settled exactly, on the 3 x 3 twin quotient; T_3(150) - e is
+        # settled by the float interval.
+        cfg = ExperimentConfig(
+            mode="family_sweep",
+            n_min=150,
+            n_max=150,
+            r=3,
+            checks=("t1.2",),
+            families=("turan", "turan_minus_e"),
+            b=0.0,
+        )
+        rows = run_family_sweep(cfg).stats["verdicts"]
+        assert [(row["family"], row["hypothesis"]) for row in rows] == [
+            ("turan", "no"),
+            ("turan_minus_e", "no"),
+        ]
+        v = _apply_checks_resolved(cfg, cfg.checks, make_turan(150, 3))[0]
+        assert v.detail["hypothesis_resolved"] == "exact"
+
     def test_plus_edge_joints_formula(self):
         cfg = ExperimentConfig(
             mode="family_sweep",

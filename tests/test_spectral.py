@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -6,7 +7,14 @@ import pytest
 
 from specturan import spectral
 
-from oracles import eig_mu, reference_spectral_radius, turan_plus_edge_mu
+from oracles import (
+    canonical_mask,
+    charpoly_mu,
+    eig_mu,
+    reference_spectral_radius,
+    turan_neighbourhood_hosts,
+    turan_plus_edge_mu,
+)
 from specturan.graph import (
     Graph,
     complete_graph,
@@ -490,10 +498,9 @@ class TestComparisons:
             is Verdict.GREATER
         )
 
-    def test_exact_multipartite_quotient_path(self, monkeypatch):
+    def test_exact_multipartite_quotient_path(self):
         """Every complete multipartite graph on n <= 7, relabelled, gets the
-        verdict of the full characteristic polynomial without computing it."""
-        import sympy
+        verdict of the full characteristic polynomials of host and T_r(n)."""
 
         def partitions(n, largest):
             if n == 0:
@@ -517,30 +524,22 @@ class TestComparisons:
                             rows[perm[v]] |= 1 << perm[u]
                 host = Graph(n, rows)
                 for r in (2, 3, 4):
-                    ref = turan_part_sizes(n, r)
-                    lam, expr = spectral._multipartite_char_poly_expr(ref)
-                    mu_ref = sympy.Poly(expr, lam).real_roots()[-1]
-                    expected = bool(spectral._exact_mu(host) > mu_ref)
-                    cases.append((host, ref, expected))
-
-        def no_charpoly(g):
-            raise AssertionError("complete multipartite host took the n x n path")
-
-        monkeypatch.setattr(spectral, "_exact_mu", no_charpoly)
+                    expected = bool(charpoly_mu(host) > charpoly_mu(make_turan(n, r)))
+                    cases.append((host, turan_part_sizes(n, r), expected))
+        assert len(cases) == 44 * 3
         for g, ref, expected in cases:
             verdict = compare_mu_exact_multipartite(g, ref)
             assert (verdict is Verdict.GREATER) == expected, (g._adj, ref)
         assert sum(expected for _, _, expected in cases) > 0
 
-    def test_exact_tie_off_multipartite_takes_charpoly(self, monkeypatch):
+    def test_exact_tie_off_multipartite_takes_charpoly(self):
         # K3 plus an isolated vertex ties T_2(4) = C4 at mu = 2, but is not
-        # complete multipartite.
+        # complete multipartite: its twin quotient is not K(2, 2)'s.
         g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
-        calls = []
-        exact = spectral._exact_mu
-        monkeypatch.setattr(spectral, "_exact_mu", lambda h: calls.append(h) or exact(h))
+        assert charpoly_mu(g) == charpoly_mu(make_turan(4, 2)) == 2
         assert compare_mu_exact_multipartite(g, [2, 2]) is Verdict.NOT_GREATER
-        assert calls == [g]
+        plus = g.with_edge(0, 3)
+        assert compare_mu_exact_multipartite(plus, [2, 2]) is Verdict.GREATER
 
     def test_exact_rational_comparison(self):
         g = make_turan(20, 2)
@@ -553,3 +552,107 @@ class TestComparisons:
         assert turan_mu_exact(7, 3) == pytest.approx(1 + math.sqrt(13), abs=1e-10)
         assert turan_mu_exact(0, 2) == 0.0
         assert turan_mu_exact(1, 2) == 0.0
+
+
+def _thresholds(mu):
+    """floor, ceil and a rational within about 1e-13 of an exact mu."""
+    import sympy
+
+    close = Fraction(str(sympy.N(mu, 15)))
+    return [Fraction(int(sympy.floor(mu))), Fraction(int(sympy.ceiling(mu))), close]
+
+
+@functools.cache
+def _charpoly_turan_mu(n, r):
+    return charpoly_mu(make_turan(n, r))
+
+
+def _assert_exact_agrees(g, mu, thresholds=None, rs=(2, 3, 4)):
+    """Both public exact decisions on g agree with the oracle value mu."""
+    import sympy
+
+    for t in _thresholds(mu) if thresholds is None else thresholds:
+        expected = bool(mu > sympy.Rational(t.numerator, t.denominator))
+        assert exact_mu_greater_than_rational(g, t) is expected, (g._adj, t)
+    for r in rs:
+        verdict = compare_mu_exact_multipartite(g, turan_part_sizes(g.n, r))
+        expected = bool(mu > _charpoly_turan_mu(g.n, r))
+        assert (verdict is Verdict.GREATER) == expected, (g._adj, r)
+
+
+class TestExactMuAgreesWithCharpoly:
+    """The exact decisions, taken on the twin quotient, against the n x n
+    characteristic polynomial of `charpoly_mu`."""
+
+    def test_every_labelled_graph_n_le_5(self):
+        # One decision per graph, in turn: mu against floor, ceil or a close
+        # rational, or against mu(T_r(n)) for r = 2, 3, 4.  The oracle runs
+        # once per isomorphism class.
+        oracle = {}
+        for n in range(6):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                g = graph_from_edge_mask(n, mask)
+                key = (n, canonical_mask(n, mask))
+                if key not in oracle:
+                    mu = charpoly_mu(g)
+                    oracle[key] = mu, _thresholds(mu)
+                mu, thresholds = oracle[key]
+                turn = mask % 6
+                if turn < 3:
+                    _assert_exact_agrees(g, mu, [thresholds[turn]], ())
+                elif n:
+                    _assert_exact_agrees(g, mu, [], (turn - 1,))
+
+    def test_turan_neighbourhoods(self):
+        for r in (2, 3, 4):
+            for g in turan_neighbourhood_hosts(r, 0xE4AC7 + r):
+                _assert_exact_agrees(g, charpoly_mu(g), rs=(r,))
+
+    def test_twin_rich_hosts(self):
+        for g in _twin_rich_hosts(229, 30):
+            _assert_exact_agrees(g, charpoly_mu(g))
+
+    def test_empty_and_edgeless(self):
+        empty = Graph(0, [])
+        assert not exact_mu_greater_than_rational(empty, Fraction(0))
+        assert exact_mu_greater_than_rational(empty, Fraction(-1, 3))
+        for sizes in ((), (0,), (0, 0, 0)):
+            assert compare_mu_exact_multipartite(empty, sizes) is Verdict.NOT_GREATER
+        for n in (1, 2, 5):
+            g = Graph(n)
+            assert not exact_mu_greater_than_rational(g, Fraction(0))
+            assert exact_mu_greater_than_rational(g, Fraction(-1, 10**9))
+            for r in (2, 3, 7):
+                assert compare_mu_exact_multipartite(g, turan_part_sizes(n, r)) is (
+                    Verdict.NOT_GREATER
+                )
+
+    def test_zero_parts(self):
+        # n < r: T_r(n) is K_n, and zero-size parts add no root.
+        k2 = complete_graph(2)
+        assert compare_mu_exact_multipartite(k2, (1, 1, 0, 0)) is Verdict.NOT_GREATER
+        assert compare_mu_exact_multipartite(k2, (2, 0)) is Verdict.GREATER
+        assert compare_mu_exact_multipartite(Graph(1), (1, 0, 0)) is Verdict.NOT_GREATER
+        k3 = complete_graph(3)
+        assert compare_mu_exact_multipartite(k3, turan_part_sizes(3, 5)) is (
+            Verdict.NOT_GREATER
+        )
+        assert compare_mu_exact_multipartite(k3, (1, 1, 0)) is Verdict.GREATER
+
+
+class TestExactMuAtScale:
+    """Ties at n ~ 4096 cost the k x k twin quotient, not n x n."""
+
+    def test_turan_4095_rational_tie(self):
+        g = make_turan(4095, 3)  # 2730-regular, so mu = 2730
+        assert not exact_mu_greater_than_rational(g, Fraction(2730))
+        assert exact_mu_greater_than_rational(g, Fraction(2729))
+
+    def test_turan_4096_plus_and_minus_edge(self):
+        sizes = turan_part_sizes(4096, 3)
+        t = make_turan(4096, 3)
+        assert compare_mu_exact_multipartite(t, sizes) is Verdict.NOT_GREATER
+        plus = make_turan_plus_edge(4096, 3)
+        assert compare_mu_exact_multipartite(plus, sizes) is Verdict.GREATER
+        minus = t.without_edge(*next(t.edges()))
+        assert compare_mu_exact_multipartite(minus, sizes) is Verdict.NOT_GREATER
