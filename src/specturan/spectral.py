@@ -33,7 +33,8 @@ equitable partition makes mu(G) the largest real root of B's
 characteristic polynomial (Godsil & Royle, Algebraic Graph Theory, §9.3),
 which sympy isolates as an algebraic number.  K(s_1, ..., s_r) is the case
 B[i][j] = s_j for i != j, so `_largest_root` serves both sides of every
-exact comparison.
+exact comparison of two mu values; against a rational, the roots above it
+are counted instead, by Sturm's theorem.
 """
 
 from __future__ import annotations
@@ -417,6 +418,14 @@ def compare_mu_to_threshold(
     return _compare_estimate(spectral_radius(g, tol=tol), Fraction(threshold), tol)
 
 
+def _char_poly(b: list[list[int]]):
+    """The characteristic polynomial of the nonempty integer matrix b, as a
+    sympy Poly with integer coefficients."""
+    import sympy
+
+    return sympy.Matrix(b).charpoly(sympy.Symbol("lam"))
+
+
 def _largest_root(b: list[list[int]]):
     """Largest real root of the characteristic polynomial of the integer
     matrix b, as an exact sympy algebraic number; 0 for the empty matrix."""
@@ -424,28 +433,33 @@ def _largest_root(b: list[list[int]]):
 
     if not b:
         return sympy.Integer(0)
-    return sympy.Matrix(b).charpoly(sympy.Symbol("lam")).real_roots()[-1]
+    return _char_poly(b).real_roots()[-1]
 
 
-def _exact_mu(g: Graph):
-    """mu(G) exactly, on the integer twin quotient B[i][j] = s_j Q[i][j]."""
+def _mu_quotient(g: Graph) -> list[list[int]]:
+    """G's integer twin quotient B[i][j] = s_j Q[i][j]; mu(G) is the largest
+    real root of its characteristic polynomial."""
     quotient, sizes = _twin_quotient(g)
-    return _largest_root(
-        [[s * (row >> j & 1) for j, s in enumerate(sizes)] for row in quotient._adj]
-    )
+    return [[s * (row >> j & 1) for j, s in enumerate(sizes)] for row in quotient._adj]
 
 
 def exact_mu_greater_than_rational(g: Graph, threshold: Fraction) -> bool:
     """Exact decision of mu(G) > threshold for rational threshold.
 
-    mu(G) is the largest real root of the characteristic polynomial of the
-    k x k integer twin quotient (see the module docstring), compared with
-    the threshold by sympy's real-root isolation.
+    mu(G) is the largest real root of the characteristic polynomial p of
+    the k x k integer twin quotient (see the module docstring), so it
+    exceeds t iff p has a real root in (t, oo).  Sturm counting
+    (`count_roots`) counts the distinct roots in [t, oo), one too many
+    when p(t) = 0; no root is isolated.
     """
     import sympy
 
-    ref = sympy.Rational(threshold.numerator, threshold.denominator)
-    return bool(_exact_mu(g) > ref)
+    b = _mu_quotient(g)
+    if not b:
+        return threshold < 0  # mu = 0
+    p = _char_poly(b)
+    t = sympy.Rational(threshold.numerator, threshold.denominator)
+    return bool(p.count_roots(t, None) - (p.eval(t) == 0) > 0)
 
 
 def compare_mu_exact_multipartite(g: Graph, sizes: Sequence[int]) -> Verdict:
@@ -461,4 +475,5 @@ def compare_mu_exact_multipartite(g: Graph, sizes: Sequence[int]) -> Verdict:
     parts = [s for s in sizes if s > 0]
     quotient = [[s * (i != j) for j, s in enumerate(parts)] for i in range(len(parts))]
     mu_ref = _largest_root(quotient)
-    return Verdict.GREATER if _exact_mu(g) > mu_ref else Verdict.NOT_GREATER
+    mu_g = _largest_root(_mu_quotient(g))
+    return Verdict.GREATER if mu_g > mu_ref else Verdict.NOT_GREATER

@@ -211,17 +211,6 @@ def _clique_bound(m_edges: int, k: int) -> int:
     return math.comb(a, k) + math.comb(b, k - 1)
 
 
-def _edges_within(adj: Sequence[int], mask: int) -> int:
-    total = 0
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        total += (adj[v] & m).bit_count()
-    return total
-
-
 def joint_size(g: Graph, r: int, with_per_edge: bool = False) -> JointReport:
     """js_r(G): max over edges of the number of r-cliques through the edge.
 
@@ -290,7 +279,7 @@ def joint_size(g: Graph, r: int, with_per_edge: bool = False) -> JointReport:
             elif ub > best:
                 ub = bounds.get(cn)
                 if ub is None:
-                    ub = bounds[cn] = _clique_bound(_edges_within(adj, cn), k)
+                    ub = bounds[cn] = _clique_bound(_count_cliques_in(adj, cn, 2), k)
             skip = ub < best or (
                 ub == best and witness is not None and witness < (u, v)
             )

@@ -18,9 +18,10 @@ its stability form both bound js_{r+1}(G).  `run_checks` therefore runs
 all of one graph's checks against one per-graph analysis
 (`_GraphAnalysis`), which computes the mu estimate, the Turan
 comparison, k_r, the least K_{r+1} and js_{r+1} at most once and is
-dropped when the call returns.  Each public `check_*` function runs the
-same checker body on a fresh analysis.  Witnesses are still re-checked
-once per verdict.
+dropped when the call returns.  `run_checks` hands that analysis to the
+public `check_*` functions themselves in place of the graph; called with a
+`Graph`, each builds a fresh one.  Witnesses are still re-checked once per
+verdict.
 """
 
 from __future__ import annotations
@@ -190,43 +191,34 @@ def _verify_clique(g: Graph, vertices: Sequence[int]) -> None:
                 raise AssertionError(f"claimed clique misses edge ({u},{v})")
 
 
-def _verify_joint_witness(g: Graph, r: int, edge: tuple[int, int], size: int) -> None:
-    u, v = edge
+def _joint_certificate(g: Graph, r: int, report: JointReport) -> dict:
+    """The certificate of js_{r+1}'s witness edge, after recounting the
+    r-cliques through it independently."""
     from .subgraph import _count_cliques_in  # independent recount
 
+    u, v = report.witness_edge
     cn = g.neighbors_mask(u) & g.neighbors_mask(v)
-    if _count_cliques_in(g._adj, cn, r - 2) != size:
+    if _count_cliques_in(g._adj, cn, r - 1) != report.size:
         raise AssertionError("joint witness count does not re-validate")
+    return {"type": "joint", "witness_edge": [u, v], "size": report.size}
 
 
-def _floor_guarded(x: float, mp_value) -> int:
-    """floor with a high-precision recompute when x sits on an integer edge."""
+def _round_guarded(rounding: str, x: float, mp_value: Callable) -> int:
+    """math.floor or math.ceil of x (`rounding` names which); within 1e-9 of
+    an integer, mp_value(mpmath) is recomputed at 50 digits and rounded."""
     if abs(x - round(x)) < 1e-9:
         import mpmath
 
         with mpmath.workdps(50):
-            return int(mpmath.floor(mp_value()))
-    return int(math.floor(x))
-
-
-def _ceil_guarded(x: float, mp_value) -> int:
-    if abs(x - round(x)) < 1e-9:
-        import mpmath
-
-        with mpmath.workdps(50):
-            return int(mpmath.ceil(mp_value()))
-    return int(math.ceil(x))
+            return int(getattr(mpmath, rounding)(mp_value(mpmath)))
+    return int(getattr(math, rounding)(x))
 
 
 def floor_c_log_n(c: float, n: int) -> int:
     """floor(c * ln n), guarded against float boundary error."""
     if n <= 1 or c <= 0:
         return 0 if c >= 0 or n <= 1 else -1
-    import mpmath
-
-    return _floor_guarded(
-        c * math.log(n), lambda: mpmath.mpf(c) * mpmath.log(n)
-    )
+    return _round_guarded("floor", c * math.log(n), lambda mp: mp.mpf(c) * mp.log(n))
 
 
 def ceil_n_power(n: int, exponent: float) -> int:
@@ -235,10 +227,8 @@ def ceil_n_power(n: int, exponent: float) -> int:
         return 0
     if n == 1:
         return 1
-    import mpmath
-
-    return _ceil_guarded(
-        float(n) ** exponent, lambda: mpmath.mpf(n) ** mpmath.mpf(exponent)
+    return _round_guarded(
+        "ceil", float(n) ** exponent, lambda mp: mp.mpf(n) ** mp.mpf(exponent)
     )
 
 
@@ -254,9 +244,9 @@ class _GraphAnalysis:
     least K_q and js_q.
 
     `run_checks` builds one for a graph's checks and drops it with them, so
-    nothing outlives them; each public `check_*` builds a fresh one.  The
-    values held are frozen (or tuples and ints), and every verdict still
-    re-checks its own witnesses.
+    nothing outlives them; a `check_*` called with a `Graph` builds a fresh
+    one.  The values held are frozen (or tuples and ints), and every
+    verdict still re-checks its own witnesses.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -290,21 +280,24 @@ class _GraphAnalysis:
         return self._once(("js", q), lambda: joint_size(self.g, q))
 
 
+def _analysis(g: Graph | _GraphAnalysis) -> _GraphAnalysis:
+    """The analysis `run_checks` passed in place of the graph, or a fresh
+    one for a `Graph`."""
+    return g if isinstance(g, _GraphAnalysis) else _GraphAnalysis(g)
+
+
 # ---------------------------------------------------------------------------
 # Fact checkers
 #
-# Each checker is a body taking the graph's `_GraphAnalysis` (the table
-# below and `run_checks` call it) and a public `check_*` function that runs
-# the body on a fresh analysis.
+# Every checker that takes a graph also accepts the graph's `_GraphAnalysis`
+# in its place: `run_checks` passes one shared analysis to all of a graph's
+# checkers, and a checker called with a `Graph` opens with a fresh one.
 # ---------------------------------------------------------------------------
 
 
 def check_spectral_turan(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVerdict:
     """mu(G) > mu(T_r(n))  =>  G contains K_{r+1}."""
-    return _check_spectral_turan(_GraphAnalysis(g), r, tol)
-
-
-def _check_spectral_turan(a: _GraphAnalysis, r: int, tol: float) -> TheoremVerdict:
+    a = _analysis(g)
     g = a.g
     cmp = a.turan(r, tol)
     clique = a.clique(r + 1)
@@ -331,10 +324,7 @@ def _check_spectral_turan(a: _GraphAnalysis, r: int, tol: float) -> TheoremVerdi
 
 def check_theorem1(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVerdict:
     """mu(G) > mu(T_r(n))  =>  js_{r+1}(G) > n^{r-1}/r^{2r+4}."""
-    return _check_theorem1(_GraphAnalysis(g), r, tol)
-
-
-def _check_theorem1(a: _GraphAnalysis, r: int, tol: float) -> TheoremVerdict:
+    a = _analysis(g)
     g = a.g
     cmp = a.turan(r, tol)
     report = a.joint(r + 1)
@@ -342,12 +332,7 @@ def _check_theorem1(a: _GraphAnalysis, r: int, tol: float) -> TheoremVerdict:
     holds = Fraction(report.size) > bound
     cert = None
     if report.witness_edge is not None:
-        _verify_joint_witness(g, r + 1, report.witness_edge, report.size)
-        cert = {
-            "type": "joint",
-            "witness_edge": list(report.witness_edge),
-            "size": report.size,
-        }
+        cert = _joint_certificate(g, r, report)
     v = TheoremVerdict(
         TheoremId.T1,
         g.n,
@@ -372,18 +357,6 @@ def _embedding_cert(emb: Embedding) -> dict:
     }
 
 
-def _kr_plus_conclusion(
-    g: Graph, sizes: list[int], budget: int
-) -> tuple[TriState, dict | None, dict]:
-    result = find_kr_plus(g, sizes, budget=budget)
-    detail = {"target_sizes": sizes, "nodes_expanded": result.nodes_expanded}
-    if result.status is SearchStatus.FOUND:
-        return TriState.YES, _embedding_cert(result.embedding), detail
-    if result.status is SearchStatus.ABSENT:
-        return TriState.NO, None, detail
-    return TriState.INCONCLUSIVE, None, detail
-
-
 def _kr_plus_branch(
     g: Graph,
     r: int,
@@ -400,8 +373,13 @@ def _kr_plus_branch(
         return TriState.YES, None, {"floor_c_ln_n": s}, True
     t = s if last_exponent is None else ceil_n_power(g.n, last_exponent(c))
     sizes = [max(2, s)] + [s] * (r - 2) + [t]
-    conclusion, cert, detail = _kr_plus_conclusion(g, sizes, budget)
-    return conclusion, cert, detail, False
+    result = find_kr_plus(g, sizes, budget=budget)
+    detail = {"target_sizes": sizes, "nodes_expanded": result.nodes_expanded}
+    if result.status is SearchStatus.FOUND:
+        return TriState.YES, _embedding_cert(result.embedding), detail, False
+    if result.status is SearchStatus.ABSENT:
+        return TriState.NO, None, detail, False
+    return TriState.INCONCLUSIVE, None, detail, False
 
 
 def check_theorem2(
@@ -412,12 +390,7 @@ def check_theorem2(
     budget: int = DEFAULT_BUDGET,
 ) -> TheoremVerdict:
     """mu(G) > mu(T_r(n))  =>  K_r^+(floor(c ln n), ..., ceil(n^{1-sqrt c}))."""
-    return _check_theorem2(_GraphAnalysis(g), r, c, tol, budget)
-
-
-def _check_theorem2(
-    a: _GraphAnalysis, r: int, c: float, tol: float, budget: int
-) -> TheoremVerdict:
+    a = _analysis(g)
     g = a.g
     cmp = a.turan(r, tol)
     conclusion, cert, detail, vacuous = _kr_plus_branch(
@@ -447,12 +420,7 @@ def check_theorem3(
 ) -> TheoremVerdict:
     """Balanced variant: K_r^+(floor(c ln n), ..., floor(c ln n)) with the
     paper's fixed c = r^{-(2r+9)(r+1)} unless overridden."""
-    return _check_theorem3(_GraphAnalysis(g), r, tol, budget, c_override)
-
-
-def _check_theorem3(
-    a: _GraphAnalysis, r: int, tol: float, budget: int, c_override: float | None
-) -> TheoremVerdict:
+    a = _analysis(g)
     g = a.g
     c = default_theorem3_c(r) if c_override is None else c_override
     cmp = a.turan(r, tol)
@@ -487,10 +455,7 @@ def _lenslmm_mu_bound(g: Graph, r: int, b: float) -> Fraction:
 def check_fact_lenslmm(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVerdict:
     """k_r(G) >= (mu/n - 1 + 1/r) * r(r-1)/(r+1) * (n/r)^{r+1}, rigorous via
     the certified upper bound on mu."""
-    return _check_fact_lenslmm(_GraphAnalysis(g), r, tol)
-
-
-def _check_fact_lenslmm(a: _GraphAnalysis, r: int, tol: float) -> TheoremVerdict:
+    a = _analysis(g)
     if r < 2:
         raise ValueError("r must be at least 2")
     g = a.g
@@ -589,10 +554,7 @@ def _lekd_hypothesis(a: _GraphAnalysis, r: int) -> tuple[TriState, dict | None, 
 def check_fact_lekd(g: Graph, r: int) -> TheoremVerdict:
     """K_{r+1} present and delta > (1-1/r-1/r^4)n  =>
     js_{r+1} > n^{r-1}/r^{r+3}."""
-    return _check_fact_lekd(_GraphAnalysis(g), r)
-
-
-def _check_fact_lekd(a: _GraphAnalysis, r: int) -> TheoremVerdict:
+    a = _analysis(g)
     if r < 2:
         raise ValueError("r must be at least 2")
     g = a.g
@@ -602,12 +564,7 @@ def _check_fact_lekd(a: _GraphAnalysis, r: int) -> TheoremVerdict:
     holds = Fraction(report.size) > bound
     cert = None
     if holds and report.witness_edge is not None:
-        _verify_joint_witness(g, r + 1, report.witness_edge, report.size)
-        cert = {
-            "type": "joint",
-            "witness_edge": list(report.witness_edge),
-            "size": report.size,
-        }
+        cert = _joint_certificate(g, r, report)
     v = TheoremVerdict(
         TheoremId.FACT_LEKD,
         g.n,
@@ -632,10 +589,7 @@ def check_fact_thv4(
 ) -> TheoremVerdict:
     """K_{r+1} present and delta > (1-1/r-1/r^4)n  =>
     K_r^+(floor(c ln n), ..., ceil(n^{1-c r^3}))."""
-    return _check_fact_thv4(_GraphAnalysis(g), r, c, budget)
-
-
-def _check_fact_thv4(a: _GraphAnalysis, r: int, c: float, budget: int) -> TheoremVerdict:
+    a = _analysis(g)
     if r < 2:
         raise ValueError("r must be at least 2")
     g = a.g
@@ -662,10 +616,7 @@ def check_edge_implies_spectral(
     g: Graph, r: int, tol: float = DEFAULT_TOL
 ) -> TheoremVerdict:
     """e(G) > e(T_r(n))  =>  mu(G) > mu(T_r(n))."""
-    return _check_edge_implies_spectral(_GraphAnalysis(g), r, tol)
-
-
-def _check_edge_implies_spectral(a: _GraphAnalysis, r: int, tol: float) -> TheoremVerdict:
+    a = _analysis(g)
     if r < 2:
         raise ValueError("r must be at least 2")
     g = a.g
@@ -696,10 +647,7 @@ def _check_edge_implies_spectral(a: _GraphAnalysis, r: int, tol: float) -> Theor
 def check_book_remark(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVerdict:
     """mu(G) > mu(T_r(n))  =>  many (r+1)-cliques share an r-clique; checked
     as existence, with the book size reported for the cn-scaling remark."""
-    return _check_book_remark(_GraphAnalysis(g), r, tol)
-
-
-def _check_book_remark(a: _GraphAnalysis, r: int, tol: float) -> TheoremVerdict:
+    a = _analysis(g)
     g = a.g
     cmp = a.turan(r, tol)
     report = book_size(g, r)
@@ -866,22 +814,7 @@ def check_stability(
     expose the (4, 7) constants; (3, 6) reproduces the weaker companion
     statement whose printed form mixes b and c.
     """
-    return _check_stability(
-        _GraphAnalysis(g), r, b, which, tol, budget, c, order_coeff, degree_coeff
-    )
-
-
-def _check_stability(
-    a: _GraphAnalysis,
-    r: int,
-    b: float,
-    which: TheoremId,
-    tol: float,
-    budget: int,
-    c: float | None,
-    order_coeff: float = 4.0,
-    degree_coeff: float = 7.0,
-) -> TheoremVerdict:
+    a = _analysis(g)
     if which not in (TheoremId.T1_2, TheoremId.T2_2, TheoremId.T3_2):
         raise ValueError(f"not a stability theorem: {which}")
     if r < 2:
@@ -906,12 +839,7 @@ def _check_stability(
         a_state = TriState.YES if Fraction(report.size) > bound else TriState.NO
         a_lhs, a_rhs = str(report.size), str(bound)
         if a_state is TriState.YES and report.witness_edge is not None:
-            _verify_joint_witness(g, r + 1, report.witness_edge, report.size)
-            a_cert = {
-                "type": "joint",
-                "witness_edge": list(report.witness_edge),
-                "size": report.size,
-            }
+            a_cert = _joint_certificate(g, r, report)
     else:
         if c is None:
             c = default_theorem3_c(r) / 2.0
@@ -997,9 +925,9 @@ class ExactHook:
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """A checker body, the run_check parameters it takes after (analysis, r)
-    in order, and how its ties are settled.  Graph-free checkers take n for
-    the analysis."""
+    """A checker, the run_check parameters it takes after (graph, r) in
+    order, and how its ties are settled.  `run_checks` passes graph-taking
+    checkers the graph's `_GraphAnalysis` and graph-free ones the order n."""
 
     checker: Callable[..., TheoremVerdict]
     params: tuple[str, ...]
@@ -1013,23 +941,23 @@ _STABILITY = ("b", "which", "tol", "budget", "c")
 _STABILITY_HYP = ExactHook("hypothesis", _stability_threshold)
 
 CHECKS: dict[TheoremId, CheckSpec] = {
-    TheoremId.FACT_STT: CheckSpec(_check_spectral_turan, ("tol",), _TURAN_HYP),
-    TheoremId.T1: CheckSpec(_check_theorem1, ("tol",), _TURAN_HYP),
-    TheoremId.T2: CheckSpec(_check_theorem2, ("c", "tol", "budget"), _TURAN_HYP, needs_c=True),
-    TheoremId.T3: CheckSpec(_check_theorem3, ("tol", "budget", "c"), _TURAN_HYP),
-    TheoremId.T1_2: CheckSpec(_check_stability, _STABILITY, _STABILITY_HYP),
-    TheoremId.T2_2: CheckSpec(_check_stability, _STABILITY, _STABILITY_HYP),
-    TheoremId.T3_2: CheckSpec(_check_stability, _STABILITY, _STABILITY_HYP),
+    TheoremId.FACT_STT: CheckSpec(check_spectral_turan, ("tol",), _TURAN_HYP),
+    TheoremId.T1: CheckSpec(check_theorem1, ("tol",), _TURAN_HYP),
+    TheoremId.T2: CheckSpec(check_theorem2, ("c", "tol", "budget"), _TURAN_HYP, needs_c=True),
+    TheoremId.T3: CheckSpec(check_theorem3, ("tol", "budget", "c"), _TURAN_HYP),
+    TheoremId.T1_2: CheckSpec(check_stability, _STABILITY, _STABILITY_HYP),
+    TheoremId.T2_2: CheckSpec(check_stability, _STABILITY, _STABILITY_HYP),
+    TheoremId.T3_2: CheckSpec(check_stability, _STABILITY, _STABILITY_HYP),
     TheoremId.FACT_LENSLMM: CheckSpec(
-        _check_fact_lenslmm, ("tol",), ExactHook("conclusion", _lenslmm_mu_bound, False)
+        check_fact_lenslmm, ("tol",), ExactHook("conclusion", _lenslmm_mu_bound, False)
     ),
     TheoremId.FACT_TSIZE: CheckSpec(check_fact_tsize, (), graph_free=True),
-    TheoremId.FACT_LEKD: CheckSpec(_check_fact_lekd, ()),
-    TheoremId.FACT_THV4: CheckSpec(_check_fact_thv4, ("c", "budget"), needs_c=True),
+    TheoremId.FACT_LEKD: CheckSpec(check_fact_lekd, ()),
+    TheoremId.FACT_THV4: CheckSpec(check_fact_thv4, ("c", "budget"), needs_c=True),
     TheoremId.EDGE_IMPLIES_SPECTRAL: CheckSpec(
-        _check_edge_implies_spectral, ("tol",), ExactHook("conclusion")
+        check_edge_implies_spectral, ("tol",), ExactHook("conclusion")
     ),
-    TheoremId.BOOK_REMARK: CheckSpec(_check_book_remark, ("tol",), _TURAN_HYP),
+    TheoremId.BOOK_REMARK: CheckSpec(check_book_remark, ("tol",), _TURAN_HYP),
 }
 
 

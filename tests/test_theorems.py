@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -466,3 +467,62 @@ class TestRunChecks:
         monkeypatch.setattr(theorems, "spectral_radius", no_estimate)
         with pytest.raises(ValueError, match="theorem t2 needs an explicit c"):
             run_checks([TheoremId.FACT_STT, TheoremId.T2], make_turan(6, 2), 2)
+
+
+# The public checker API, literally: renaming a parameter or moving a
+# default has to change this table too.
+PUBLIC_SIGNATURES = {
+    "check_book_remark": "(g: 'Graph', r: 'int', tol: 'float' = 1e-10) -> 'TheoremVerdict'",
+    "check_edge_implies_spectral": (
+        "(g: 'Graph', r: 'int', tol: 'float' = 1e-10) -> 'TheoremVerdict'"
+    ),
+    "check_fact_lekd": "(g: 'Graph', r: 'int') -> 'TheoremVerdict'",
+    "check_fact_lenslmm": "(g: 'Graph', r: 'int', tol: 'float' = 1e-10) -> 'TheoremVerdict'",
+    "check_fact_thv4": (
+        "(g: 'Graph', r: 'int', c: 'float', budget: 'int' = 100000000)"
+        " -> 'TheoremVerdict'"
+    ),
+    "check_fact_tsize": "(n: 'int', r: 'int') -> 'TheoremVerdict'",
+    "check_spectral_turan": (
+        "(g: 'Graph', r: 'int', tol: 'float' = 1e-10) -> 'TheoremVerdict'"
+    ),
+    "check_stability": (
+        "(g: 'Graph', r: 'int', b: 'float', which: 'TheoremId' = <TheoremId.T1_2: 't1.2'>,"
+        " tol: 'float' = 1e-10, budget: 'int' = 100000000, c: 'float | None' = None,"
+        " order_coeff: 'float' = 4.0, degree_coeff: 'float' = 7.0) -> 'TheoremVerdict'"
+    ),
+    "check_theorem1": "(g: 'Graph', r: 'int', tol: 'float' = 1e-10) -> 'TheoremVerdict'",
+    "check_theorem2": (
+        "(g: 'Graph', r: 'int', c: 'float', tol: 'float' = 1e-10,"
+        " budget: 'int' = 100000000) -> 'TheoremVerdict'"
+    ),
+    "check_theorem3": (
+        "(g: 'Graph', r: 'int', tol: 'float' = 1e-10, budget: 'int' = 100000000,"
+        " c_override: 'float | None' = None) -> 'TheoremVerdict'"
+    ),
+    "run_check": (
+        "(tid: 'TheoremId', g: 'Graph | int', r: 'int', *, tol: 'float' = 1e-10,"
+        " budget: 'int' = 100000000, c: 'float | None' = None, b: 'float' = 1e-06)"
+        " -> 'TheoremVerdict'"
+    ),
+    "run_checks": (
+        "(tids: 'Sequence[TheoremId]', g: 'Graph | int', r: 'int', *,"
+        " tol: 'float' = 1e-10, budget: 'int' = 100000000, c: 'float | None' = None,"
+        " b: 'float' = 1e-06) -> 'list[TheoremVerdict]'"
+    ),
+}
+
+
+class TestPublicSignatures:
+    def test_every_exported_checker_is_pinned(self):
+        import specturan
+
+        exported = {n for n in dir(specturan) if n.startswith("check_")}
+        assert exported | {"run_check", "run_checks"} == set(PUBLIC_SIGNATURES)
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC_SIGNATURES))
+    def test_signature_unchanged(self, name):
+        from specturan import theorems
+
+        fn = getattr(theorems, name)
+        assert str(inspect.signature(fn)) == PUBLIC_SIGNATURES[name]
