@@ -13,7 +13,6 @@ and the edge-list text format.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -296,32 +295,46 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
 
     Uses a partial Fisher-Yates shuffle over the lexicographic list of
     vertex pairs, driven by SplitMix64, so the sampled edge set depends
-    only on (n, m, seed).
+    only on (n, m, seed).  The m draws come from one
+    `SplitMix64.below_many` call, the same stream as m calls to `below`;
+    the picked pair indices are unranked and set in a packed bit matrix
+    with numpy.
     """
     max_m = n * (n - 1) // 2
     if not (0 <= m <= max_m):
         raise ValueError(f"edge count {m} out of range [0, {max_m}]")
-    rng = SplitMix64(seed)
+    slots = np.arange(m, dtype=np.uint64)
+    # Slot i swaps with slot j = i + below(max_m - i).
+    swaps = (SplitMix64(seed).below_many(max_m - slots) + slots).tolist()
     # Virtual shuffle: remap[i] holds the pair index currently at slot i.
     remap: dict[int, int] = {}
-    rows = [0] * n
-    for i in range(m):
-        j = i + rng.below(max_m - i)
-        pick = remap.get(j, j)
-        remap[j] = remap.get(i, i)
-        u, v = _pair_from_index(n, pick)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n, rows)
+    get = remap.get
+    picks = []
+    for i, j in enumerate(swaps):
+        picks.append(get(j, j))
+        remap[j] = get(i, i)
+    u, v = _pairs_from_indices(n, np.array(picks, dtype=np.int64))
+    nbytes = (n + 7) // 8
+    bits = np.zeros((n, 8 * nbytes), dtype=np.uint8)
+    bits[u, v] = 1
+    bits[v, u] = 1
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return Graph(n, [int.from_bytes(row.tobytes(), "little") for row in packed])
 
 
-def _pair_from_index(n: int, idx: int) -> tuple[int, int]:
-    # Lexicographic rank over pairs (u, v), u < v, unranked from the last
-    # pair: rows n-2, n-3, ... hold 1, 2, ... pairs, so `back` pairs from
-    # the end lie t(t+1)/2 + offset in, in row n-2-t.
+def _pairs_from_indices(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (u, v), u < v, at lexicographic ranks `idx` (int64 array).
+
+    Unranked from the last pair: rows n-2, n-3, ... hold 1, 2, ... pairs,
+    so `back` pairs from the end lie t(t+1)/2 + offset in, in row n-2-t.
+    The float square root gives t to within one; the integer steps after
+    it make t exact.
+    """
     back = n * (n - 1) // 2 - 1 - idx
-    t = (math.isqrt(8 * back + 1) - 1) // 2
-    return (n - 2 - t, n - 1 - (back - t * (t + 1) // 2))
+    t = ((np.sqrt(8 * back + 1) - 1) // 2).astype(np.int64)
+    t -= t * (t + 1) // 2 > back
+    t += (t + 1) * (t + 2) // 2 <= back
+    return n - 2 - t, n - 1 - (back - t * (t + 1) // 2)
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:

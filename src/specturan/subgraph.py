@@ -17,6 +17,19 @@ form of the Kruskal-Katona theorem, computed once per distinct common
 neighborhood.  For edges (js_4) it is the edge count itself, so the
 memoized exact count serves as the bound.
 
+Those class pairs form one table per host (`_class_pairs`): an entry
+(-|cn|, u, v) for the least members u < v of each adjacent class pair,
+sorted, with cn = row(u) & row(v) recomputed by one AND where needed.
+`joint_size` scans it and stops at the first entry whose bound C(|cn|, k)
+falls below the best count so far.  `find_kr_plus` tries part-1 edges in
+the same order, by descending |cn| and then lexicographically, and walks
+them lazily off the table: the class pairs of one key are expanded into
+their edges, lexicographically per pair, and merged with `heapq.merge`;
+a key whose pairs are all single vertices yields them directly.  So no
+edge list is built or sorted, and a search that succeeds on its first
+edges touches only those.  Both functions take the table in place of the
+graph, which lets one per-graph analysis build it once for both.
+
 2-coloring grows BFS layers as bitsets, O(n) big-int ORs whatever the
 edge count; an edge inside a layer proves an odd cycle.
 
@@ -28,10 +41,12 @@ search run.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graph import Graph, PartSpec
 
@@ -211,14 +226,74 @@ def _clique_bound(m_edges: int, k: int) -> int:
     return math.comb(a, k) + math.comb(b, k - 1)
 
 
+@dataclass(frozen=True, eq=False)
+class _ClassPairs:
+    """A host's twin-class-pair table: `(-|cn|, u, v)` for the least members
+    u < v of every pair of adjacent twin classes, sorted, where cn is the
+    common neighbourhood row(u) & row(v) (not stored).  `classes` maps each
+    least member to its class bitset."""
+
+    g: Graph
+    classes: dict[int, int]
+    table: list[tuple[int, int, int]]
+
+
+def _class_pairs(g: Graph) -> _ClassPairs:
+    """The class-pair table of g, which `joint_size` scans and `find_kr_plus`
+    walks; either takes it in place of the graph."""
+    adj = g._adj
+    classes = {
+        (members & -members).bit_length() - 1: members
+        for members in g.twin_classes().values()
+    }
+    reps = 0
+    for u in classes:
+        reps |= 1 << u
+    table = []
+    for u in _iter_bits(reps):
+        row = adj[u]
+        for w in _iter_bits((row & reps) >> (u + 1)):
+            v = u + 1 + w
+            table.append((-(row & adj[v]).bit_count(), u, v))
+    table.sort()
+    return _ClassPairs(g, classes, table)
+
+
+def _pair_edges(a: int, b: int) -> Iterator[tuple[int, int]]:
+    """The edges between the disjoint, completely joined classes a and b
+    (bitsets), lexicographically."""
+    for u in _iter_bits(a | b):
+        other = b if (a >> u) & 1 else a
+        for w in _iter_bits(other >> (u + 1)):
+            yield (u, u + 1 + w)
+
+
+def _edge_order(pairs: _ClassPairs) -> Iterator[tuple[int, int]]:
+    """Every edge of the host, by descending |cn| and then lexicographically:
+    the class pairs of one table key are merged edge by edge."""
+    classes = pairs.classes
+    for _, entries in itertools.groupby(pairs.table, key=lambda entry: entry[0]):
+        same_key = [(classes[u], classes[v], u, v) for _, u, v in entries]
+        if all(a == 1 << u and b == 1 << v for a, b, u, v in same_key):
+            for _, _, u, v in same_key:
+                yield (u, v)
+        else:
+            yield from heapq.merge(*(_pair_edges(a, b) for a, b, _, _ in same_key))
+
+
 def joint_size(g: Graph, r: int, with_per_edge: bool = False) -> JointReport:
     """js_r(G): max over edges of the number of r-cliques through the edge.
 
     Ties break to the lexicographically least witness edge.  With
     `with_per_edge`, the full edge -> count map is computed (no pruning).
+    g may also be the graph's `_class_pairs` table, which is then scanned
+    instead of a fresh one.
     """
     if r < 2:
         raise ValueError("joint order must be at least 2")
+    pairs = None
+    if isinstance(g, _ClassPairs):
+        pairs, g = g, g.g
     adj = g._adj
     k = r - 2  # cliques of this order are counted inside common neighborhoods
     memo: dict[int, int] = {}
@@ -248,31 +323,27 @@ def joint_size(g: Graph, r: int, with_per_edge: bool = False) -> JointReport:
     # Twins are never adjacent, so every edge between twin classes A and B
     # has the common neighbourhood row(A) & row(B), and the least of them
     # is (min A, min B).  One edge per class pair decides size and witness.
-    reps = 0
-    for members in g.twin_classes().values():
-        reps |= members & -members
-    pairs = []
-    for u in _iter_bits(reps):
-        row = adj[u]
-        for w in _iter_bits((row & reps) >> (u + 1)):
-            v = u + 1 + w
-            cn = row & adj[v]
-            pairs.append((-cn.bit_count(), u, v, cn))
-    if not pairs:
+    if pairs is None:
+        pairs = _class_pairs(g)
+    if not pairs.table:
         return JointReport(r, None, 0, None)
-    pairs.sort()
 
     bounds: dict[int, int] = {}  # cn -> _clique_bound of the edges inside it
     best = -1
     witness: tuple[int, int] | None = None
-    for _, u, v, cn in pairs:
+    for neg_size, u, v in pairs.table:
+        # C(|cn|, k) bounds the count, exactly for k <= 1, and shrinks down
+        # the table, so once it falls below best no later pair can reach it.
+        ub = math.comb(-neg_size, k)
+        if ub < best:
+            break
+        cn = adj[u] & adj[v]
         cnt: int | None = None
         if k <= 1:
-            cnt = exact_count(cn)
+            cnt = ub
         elif cn in memo:
             cnt = memo[cn]
         else:
-            ub = math.comb(cn.bit_count(), k)
             if ub > best and k == 2:
                 # _clique_bound(m, 2) == m, so the bound is the exact count.
                 ub = exact_count(cn)
@@ -510,21 +581,20 @@ def find_kr_plus(
     edge inside part 1.
 
     Host edges are tried as the part-1 edge in descending order of common
-    neighborhood size (ties lexicographic); the remaining parts are filled
-    like find_complete_multipartite.  One expansion budget and one
-    memoization table span all edge attempts.
+    neighborhood size (ties lexicographic), walked lazily off the
+    class-pair table (g may be that table in place of the graph); the
+    remaining parts are filled like find_complete_multipartite.  One
+    expansion budget and one memoization table span all edge attempts.
     """
     spec = spec if isinstance(spec, PartSpec) else PartSpec(tuple(spec))
     spec.require_first_part_at_least_two()
+    pairs = g if isinstance(g, _ClassPairs) else _class_pairs(g)
+    g = pairs.g
     emb = _Embedder(g, budget)
     rest_sorted, rest_idx = _sorted_spec(spec.sizes[1:])
     sizes_fill = [spec.sizes[0]] + rest_sorted
-    edges = sorted(
-        g.edges(),
-        key=lambda e: (-(g.neighbors_mask(e[0]) & g.neighbors_mask(e[1])).bit_count(), e),
-    )
     try:
-        for u, v in edges:
+        for u, v in _edge_order(pairs):
             a, b = emb.to_new[u], emb.to_new[v]
             parts_new = emb.search(sizes_fill, (a, b))
             if parts_new is not None:

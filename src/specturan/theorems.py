@@ -17,11 +17,13 @@ The checks share one hypothesis, mu(G) > mu(T_r(n)), and Theorem 1 and
 its stability form both bound js_{r+1}(G).  `run_checks` therefore runs
 all of one graph's checks against one per-graph analysis
 (`_GraphAnalysis`), which computes the mu estimate, the Turan
-comparison, k_r, the least K_{r+1} and js_{r+1} at most once and is
-dropped when the call returns.  `run_checks` hands that analysis to the
-public `check_*` functions themselves in place of the graph; called with a
-`Graph`, each builds a fresh one.  Witnesses are still re-checked once per
-verdict.
+comparison, k_r, the least K_{r+1}, js_{r+1}, the twin-class-pair table,
+each K_r^+ search and each stability witness at most once and is dropped
+when the call returns.  `run_checks` hands that analysis to the public
+`check_*` functions themselves in place of the graph; called with a
+`Graph`, each builds a fresh one.  Clique and joint witnesses are still
+re-checked once per verdict; a K_r^+ embedding and a stability colouring
+are validated once, by the search that found them.
 """
 
 from __future__ import annotations
@@ -47,7 +49,10 @@ from .subgraph import (
     DEFAULT_COLOR_CAP,
     Embedding,
     JointReport,
+    SearchResult,
     SearchStatus,
+    _class_pairs,
+    _ClassPairs,
     book_size,
     clique_exists,
     count_cliques,
@@ -241,12 +246,13 @@ def turan_edge_count(n: int, r: int) -> int:
 class _GraphAnalysis:
     """What several checkers of one graph share, each computed at most once:
     the mu estimate per tol, the Turan comparison per (r, tol), k_q, the
-    least K_q and js_q.
+    least K_q, js_q, the twin-class-pair table (shared by `joint_size` and
+    `find_kr_plus`), the K_r^+ search per (sizes, budget) and the
+    stability witness per (r, thresholds).
 
     `run_checks` builds one for a graph's checks and drops it with them, so
     nothing outlives them; a `check_*` called with a `Graph` builds a fresh
-    one.  The values held are frozen (or tuples and ints), and every
-    verdict still re-checks its own witnesses.
+    one.  The values held are frozen (or tuples and ints).
     """
 
     def __init__(self, g: Graph) -> None:
@@ -276,8 +282,28 @@ class _GraphAnalysis:
     def clique(self, q: int) -> tuple[int, ...] | None:
         return self._once(("clique", q), lambda: clique_exists(self.g, q))
 
+    def class_pairs(self) -> _ClassPairs:
+        """The twin-class-pair table `joint_size` and `find_kr_plus` share."""
+        return self._once(("pairs",), lambda: _class_pairs(self.g))
+
     def joint(self, q: int) -> JointReport:
-        return self._once(("js", q), lambda: joint_size(self.g, q))
+        return self._once(("js", q), lambda: joint_size(self.class_pairs(), q))
+
+    def kr_plus(self, sizes: Sequence[int], budget: int) -> SearchResult:
+        """What `find_kr_plus(g, sizes, budget)` returns."""
+        return self._once(
+            ("kplus", tuple(sizes), budget),
+            lambda: find_kr_plus(self.class_pairs(), sizes, budget=budget),
+        )
+
+    def stability_witness(
+        self, r: int, order_threshold: float, degree_threshold: float
+    ) -> tuple[StabilityWitness | None, bool]:
+        """What `find_stability_witness(g, r, ...)` returns."""
+        return self._once(
+            ("stability", r, order_threshold, degree_threshold),
+            lambda: find_stability_witness(self.g, r, order_threshold, degree_threshold),
+        )
 
 
 def _analysis(g: Graph | _GraphAnalysis) -> _GraphAnalysis:
@@ -358,7 +384,7 @@ def _embedding_cert(emb: Embedding) -> dict:
 
 
 def _kr_plus_branch(
-    g: Graph,
+    a: _GraphAnalysis,
     r: int,
     c: float,
     budget: int,
@@ -368,12 +394,13 @@ def _kr_plus_branch(
     s = floor(c ln n) and t = ceil(n^last_exponent(c)), or t = s when
     last_exponent is None.  Vacuously YES when s <= 0, where the exponent
     is never evaluated (sqrt of a negative c would raise)."""
-    s = floor_c_log_n(c, g.n)
+    n = a.g.n
+    s = floor_c_log_n(c, n)
     if s <= 0:
         return TriState.YES, None, {"floor_c_ln_n": s}, True
-    t = s if last_exponent is None else ceil_n_power(g.n, last_exponent(c))
+    t = s if last_exponent is None else ceil_n_power(n, last_exponent(c))
     sizes = [max(2, s)] + [s] * (r - 2) + [t]
-    result = find_kr_plus(g, sizes, budget=budget)
+    result = a.kr_plus(sizes, budget)
     detail = {"target_sizes": sizes, "nodes_expanded": result.nodes_expanded}
     if result.status is SearchStatus.FOUND:
         return TriState.YES, _embedding_cert(result.embedding), detail, False
@@ -394,7 +421,7 @@ def check_theorem2(
     g = a.g
     cmp = a.turan(r, tol)
     conclusion, cert, detail, vacuous = _kr_plus_branch(
-        g, r, c, budget, lambda c: 1.0 - math.sqrt(c)
+        a, r, c, budget, lambda c: 1.0 - math.sqrt(c)
     )
     v = TheoremVerdict(
         TheoremId.T2,
@@ -424,7 +451,7 @@ def check_theorem3(
     g = a.g
     c = default_theorem3_c(r) if c_override is None else c_override
     cmp = a.turan(r, tol)
-    conclusion, cert, detail, vacuous = _kr_plus_branch(g, r, c, budget, None)
+    conclusion, cert, detail, vacuous = _kr_plus_branch(a, r, c, budget, None)
     v = TheoremVerdict(
         TheoremId.T3,
         g.n,
@@ -595,7 +622,7 @@ def check_fact_thv4(
     g = a.g
     hyp, hyp_cert, hyp_detail = _lekd_hypothesis(a, r)
     conclusion, cert, detail, vacuous = _kr_plus_branch(
-        g, r, c, budget, lambda c: 1.0 - c * r**3
+        a, r, c, budget, lambda c: 1.0 - c * r**3
     )
     v = TheoremVerdict(
         TheoremId.FACT_THV4,
@@ -847,12 +874,10 @@ def check_stability(
         last_exponent = (
             (lambda c: 1.0 - 2.0 * math.sqrt(c)) if which is TheoremId.T2_2 else None
         )
-        a_state, a_cert, _, vacuous = _kr_plus_branch(g, r, c, budget, last_exponent)
+        a_state, a_cert, _, vacuous = _kr_plus_branch(a, r, c, budget, last_exponent)
 
     # Branch (b)
-    witness, capped = find_stability_witness(
-        g, r, order_threshold, degree_threshold
-    )
+    witness, capped = a.stability_witness(r, order_threshold, degree_threshold)
     if witness is not None:
         sub = g.induced_subgraph(list(witness.vertices))
         b_state = TriState.YES

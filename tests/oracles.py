@@ -280,6 +280,67 @@ def reference_pair_from_index(n: int, idx: int) -> tuple[int, int]:
     return (u, u + 1 + idx)
 
 
+def reference_gnm(n: int, m: int, seed: int) -> Graph:
+    """G(n, m) drawn one SplitMix64 `below` call and one row-by-row pair
+    unranking at a time: the partial Fisher-Yates shuffle `random_gnm`
+    vectorizes."""
+    max_m = n * (n - 1) // 2
+    rng = SplitMix64(seed)
+    remap: dict[int, int] = {}
+    rows = [0] * n
+    for i in range(m):
+        j = i + rng.below(max_m - i)
+        pick = remap.get(j, j)
+        remap[j] = remap.get(i, i)
+        u, v = reference_pair_from_index(n, pick)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, rows)
+
+
+def reference_kr_plus_edge_order(g: Graph) -> list[tuple[int, int]]:
+    """Every edge, sorted by descending common-neighbourhood size and then
+    lexicographically: the order `find_kr_plus` tries part-1 edges in."""
+    return sorted(
+        g.edges(),
+        key=lambda e: (-(g.neighbors_mask(e[0]) & g.neighbors_mask(e[1])).bit_count(), e),
+    )
+
+
+def reference_find_kr_plus(
+    g: Graph, sizes: tuple[int, ...], budget: int
+) -> "SearchResult":
+    """`find_kr_plus` with the part-1 edges sorted up front
+    (`reference_kr_plus_edge_order`).  It runs the production `_Embedder`
+    on purpose: only the edge order differs, so results, including
+    `nodes_expanded`, must agree exactly."""
+    from specturan.subgraph import (
+        Embedding,
+        SearchResult,
+        SearchStatus,
+        _BudgetHit,
+        _Embedder,
+        _sorted_spec,
+    )
+
+    emb = _Embedder(g, budget)
+    rest_sorted, rest_idx = _sorted_spec(sizes[1:])
+    fill = [sizes[0]] + rest_sorted
+    try:
+        for u, v in reference_kr_plus_edge_order(g):
+            parts = emb.search(fill, (emb.to_new[u], emb.to_new[v]))
+            if parts is None:
+                continue
+            orig = [()] * len(sizes)
+            orig[0] = tuple(emb.to_orig[w] for w in parts[0])
+            for fill_pos, orig_pos in enumerate(rest_idx):
+                orig[orig_pos + 1] = tuple(emb.to_orig[w] for w in parts[fill_pos + 1])
+            return SearchResult(SearchStatus.FOUND, Embedding(tuple(orig), (u, v)), emb.nodes)
+    except _BudgetHit:
+        return SearchResult(SearchStatus.BUDGET, None, emb.nodes)
+    return SearchResult(SearchStatus.ABSENT, None, emb.nodes)
+
+
 def reference_conflict_peel_order(g: Graph, members: list[int], r: int) -> int:
     """Vertex to evict: most monochromatic conflicts under a greedy
     r-coloring by descending degree (ties lowest index), counted pair by pair."""

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from oracles import reference_pair_from_index
+from oracles import reference_gnm, reference_pair_from_index
 from specturan.graph import (
     EdgeListError,
     Graph,
     PartSpec,
-    _pair_from_index,
+    _pairs_from_indices,
     complete_graph,
     graph_from_edge_mask,
     make_complete_multipartite,
@@ -157,8 +157,56 @@ class TestRandomGnm:
 
     def test_pair_unranking_matches_reference(self):
         for n in range(2, 81):
-            for idx in range(n * (n - 1) // 2):
-                assert _pair_from_index(n, idx) == reference_pair_from_index(n, idx)
+            u, v = _pairs_from_indices(n, np.arange(n * (n - 1) // 2, dtype=np.int64))
+            want = [reference_pair_from_index(n, idx) for idx in range(len(u))]
+            assert list(zip(u.tolist(), v.tolist())) == want
+
+    def test_pair_unranking_exact_where_float_sqrt_is_not(self):
+        # With 2^55 pairs, 8 * back + 1 no longer fits a float exactly, and
+        # its square root lands a row too far just before each row start;
+        # the integer correction must still invert the lexicographic rank.
+        n = 1 << 28
+        max_m = n * (n - 1) // 2
+        ranks = [0, 1, max_m - 2, max_m - 1]
+        for t in (1, 2, 3, 1000, 10**6, n - 1000, n - 3, n - 2):
+            start = max_m - t * (t + 1) // 2  # first pair of row n - 1 - t
+            ranks += [start - 1, start, start + 1]
+        ranks = [x for x in ranks if 0 <= x < max_m]
+        u, v = _pairs_from_indices(n, np.array(ranks, dtype=np.int64))
+        for idx, a, b in zip(ranks, u.tolist(), v.tolist()):
+            assert 0 <= a < b < n
+            assert a * (2 * n - a - 1) // 2 + (b - a - 1) == idx
+
+    def test_matches_reference_gnm(self):
+        rng = SplitMix64(0x61)
+        for n in range(41):
+            max_m = n * (n - 1) // 2
+            ms = {0, min(1, max_m), max(max_m - 1, 0), max_m, rng.below(max_m + 1)}
+            for m in sorted(ms):
+                seed = rng.next_u64()
+                assert random_gnm(n, m, seed) == reference_gnm(n, m, seed), (n, m)
+
+    def test_below_many_matches_below_calls(self):
+        # Bounds just above 2^63 reject about half the words, so the scalar
+        # fallback runs many times inside one call.
+        bound_sets = [
+            [],
+            [1] * 5,
+            list(range(1000, 0, -1)),
+            [(1 << 63) + 1] * 200,
+            [(1 << 64) - 1, 1 << 63, (1 << 63) + 3, 7, 1 << 40, 3] * 40,
+        ]
+        for bounds in bound_sets:
+            for seed in (0, 1, (1 << 64) - 1, 0x5EED):
+                bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+                got = bulk.below_many(bounds)
+                assert got.dtype == np.uint64
+                assert got.tolist() == [scalar.below(b) for b in bounds]
+                assert bulk.next_u64() == scalar.next_u64()  # same final state
+
+    def test_below_many_rejects_zero_bound(self):
+        with pytest.raises(ValueError):
+            SplitMix64(0).below_many([3, 0])
 
     def test_splitmix_reference_values(self):
         # First outputs for seed 0; matches the published SplitMix64 stream.

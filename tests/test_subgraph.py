@@ -15,6 +15,8 @@ from oracles import (
     brute_joint_size,
     reference_backtrack_color,
     reference_embedder_rows,
+    reference_find_kr_plus,
+    reference_kr_plus_edge_order,
     reference_two_color,
 )
 from specturan.graph import (
@@ -29,9 +31,12 @@ from specturan.graph import (
 )
 from specturan.rng import SplitMix64
 from specturan.subgraph import (
+    DEFAULT_BUDGET,
     Embedding,
     _Embedder,
+    _class_pairs,
     _clique_bound,
+    _edge_order,
     _greedy_colorable,
     _two_color,
     EmbeddingValidationError,
@@ -476,6 +481,70 @@ class TestFindKrPlus:
                 for p in _all_two_two_splits(g)
             )
             assert (res.status is SearchStatus.FOUND) == expected
+
+
+class TestEdgeOrder:
+    """The lazy walk over the class-pair table against a full sort of every
+    edge, and find_kr_plus on it against a search on the full sort."""
+
+    @staticmethod
+    def _hosts():
+        """T_r(n) - e, T_r(n) + e and a relabelled T_r(n) + e for r = 2..4,
+        then seeded G(n, m) and shuffled twin blow-ups of them."""
+        rng = SplitMix64(0xED6E)
+        for r in (2, 3, 4):
+            for n in range(2 * r, 15):
+                t = make_turan(n, r)
+                yield t.without_edge(*next(t.edges()))
+                plus = make_turan_plus_edge(n, r)
+                yield plus
+                perm = list(range(n))
+                for i in range(n - 1, 0, -1):
+                    j = rng.below(i + 1)
+                    perm[i], perm[j] = perm[j], perm[i]
+                yield plus.induced_subgraph(perm)
+        yield from TestEmbedderRelabelling._hosts()
+
+    def test_walk_equals_full_sort(self):
+        merged = 0
+        for g in self._hosts():
+            pairs = _class_pairs(g)
+            assert list(_edge_order(pairs)) == reference_kr_plus_edge_order(g), g._adj
+            merged += len(pairs.classes) < g.n
+        assert merged > 100
+
+    def test_search_equals_full_sort_search(self):
+        statuses = set()
+        for i, g in enumerate(self._hosts()):
+            for spec in ((2, 2), (2, 2, 2), (3, 2)):
+                for budget in (DEFAULT_BUDGET, 1 + i % 9):
+                    got = find_kr_plus(g, spec, budget)
+                    assert got == reference_find_kr_plus(g, spec, budget), (g._adj, spec)
+                    statuses.add(got.status)
+        assert statuses == set(SearchStatus)
+
+    def test_shared_table_gives_the_graphs_results(self):
+        for g in itertools.islice(self._hosts(), 0, None, 7):
+            pairs = _class_pairs(g)
+            for q in (2, 3, 4):
+                assert joint_size(pairs, q) == joint_size(g, q)
+            assert find_kr_plus(pairs, (2, 2)) == find_kr_plus(g, (2, 2))
+
+    @pytest.mark.parametrize("r", (2, 3, 4))
+    def test_large_turan_plus_edge_stays_small(self, r):
+        # The host is built before tracing starts; the degree-sorted rows of
+        # the embedder alone take about 32 MiB, a full edge sort ~700 MiB.
+        import tracemalloc
+
+        g = make_turan_plus_edge(4096, r)
+        tracemalloc.start()
+        try:
+            res = find_kr_plus(g, (2,) * r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status is SearchStatus.FOUND and res.embedding.extra_edge == (0, 1)
+        assert peak < 64 * 2**20, peak / 2**20
 
 
 def _all_two_two_splits(g: Graph):

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -457,6 +458,32 @@ class TestRunChecks:
                 assert [v.to_json_dict() for v in shared] == [
                     v.to_json_dict() for v in fresh
                 ], (g, b)
+
+    def test_stability_checks_peel_and_search_once(self, monkeypatch):
+        # At these orders floor(0.6 ln n) = 1 and n^(1 - 2 sqrt 0.6) < 1, so
+        # t3, t2.2 and t3.2 all look for the same K_r^+(2, 1, ..., 1).
+        from specturan import theorems
+
+        calls: Counter = Counter()
+        for name in ("find_stability_witness", "find_kr_plus"):
+
+            def counted(*args, _fn=getattr(theorems, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(theorems, name, counted)
+        tids = [TheoremId.T3, TheoremId.T1_2, TheoremId.T2_2, TheoremId.T3_2]
+        for r in (2, 3):
+            hosts = [make_turan(12, r), make_turan_plus_edge(14, r)]
+            hosts += [random_gnm(n, turan_edge_count(n, r) + 1, n) for n in (9, 16)]
+            for g in hosts:
+                calls.clear()
+                shared = run_checks(tids, g, r, c=0.6, b=1e-6)
+                assert calls == {"find_stability_witness": 1, "find_kr_plus": 1}, g
+                fresh = [FRESH[tid](g, r, 0.6, 1e-6) for tid in tids]
+                assert [v.to_json_dict() for v in shared] == [
+                    v.to_json_dict() for v in fresh
+                ], g
 
     def test_missing_c_raises_before_any_checker(self, monkeypatch):
         from specturan import theorems
