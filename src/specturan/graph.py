@@ -4,7 +4,9 @@ Each vertex's neighborhood is one Python integer used as a bitset, so the
 hot operations of this package (neighborhood intersection, popcount) are
 single big-int instructions.  Graphs are immutable from the consumer's
 point of view: constructors build them, and the editing helpers
-(`with_edge`, `without_edge`) return new graphs.
+(`with_edge`, `without_edge`) return new graphs.  Each graph groups its
+vertices into twin classes (identical rows) once, validates its rows on
+that grouping, and keeps it for the layers that work on the quotient.
 
 Also provides the structured families the experiments run on (Turan
 graphs, complete multipartite graphs, K_r^+), the seeded G(n, m) model,
@@ -64,15 +66,51 @@ def _bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class Graph:
-    """Simple undirected graph on vertices 0..n-1, bitset adjacency."""
+def _twin_grouping(rows: Sequence[int]) -> tuple[dict[int, int], list[int] | None]:
+    """Twin classes as {row: bitset of the vertices with that row}, in order
+    of least member, and each vertex's class index (None when no two rows
+    are equal).  Each row is hashed once, and member bitsets are set in
+    byte buffers rather than by one n-bit OR per member."""
+    n = len(rows)
+    index: dict[int, int] = {}
+    class_of = [index.setdefault(row, len(index)) for row in rows]
+    if len(index) == n:
+        return {row: 1 << v for v, row in enumerate(rows)}, None
+    members = [bytearray((n + 7) // 8) for _ in index]
+    for v, i in enumerate(class_of):
+        members[i][v >> 3] |= 1 << (v & 7)
+    return dict(zip(index, (int.from_bytes(m, "little") for m in members))), class_of
 
-    __slots__ = ("n", "_adj")
+
+def _is_symmetric(bits: np.ndarray) -> bool:
+    """Whether a square 0/1 matrix equals its transpose.  The upper-triangle
+    tiles are compared, each against its mirror, so transposed reads stay
+    within cache."""
+    t = _SYMMETRY_TILE
+    for i in range(0, len(bits), t):
+        for j in range(i, len(bits), t):
+            if not np.array_equal(bits[i : i + t, j : j + t], bits[j : j + t, i : i + t].T):
+                return False
+    return True
+
+
+class Graph:
+    """Simple undirected graph on vertices 0..n-1, bitset adjacency.
+
+    A graph built from rows is validated once, on its twin classes
+    (vertices with identical rows), which it then keeps: `twin_classes`,
+    the spectral quotient, the joint table and the clique and book
+    searches all read the same grouping.  The structured hosts of the
+    paper have r to r + 2 classes at any n.
+    """
+
+    __slots__ = ("n", "_adj", "_twins")
 
     def __init__(self, n: int, adjacency_rows: Sequence[int] | None = None) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
+        self._twins: dict[int, int] | None = None
         if adjacency_rows is None:
             self._adj = [0] * n
         else:
@@ -82,25 +120,51 @@ class Graph:
             self._check_well_formed()
 
     def _check_well_formed(self) -> None:
+        """Rows in range, no self-loops, A = A^T; caches the twin classes.
+
+        Checked once per twin class: range and self-loops on each class
+        row, then symmetry as (a) every class row is constant on every
+        class, a k x n compare, and (b) the k x k matrix C of the classes'
+        least members equals its transpose.  Twins have identical rows, so
+        (a) gives A = P C P^T for the class indicator P, and then A = A^T
+        iff C = C^T; if (a) fails, some row x holds one twin u of a class
+        but not another, w, and A[u][x] = A[w][x] makes A asymmetric.  A
+        twin-free graph has C = A and (a) is vacuous.  Any failure is named
+        by a scan of the whole graph in vertex order, so the message does
+        not depend on the grouping.
+        """
+        classes, class_of = _twin_grouping(self._adj)
+        full = (1 << self.n) - 1
+        if any(row & ~full or row & members for row, members in classes.items()):
+            self._raise_bad_row()
+        if class_of is None:
+            bits = self._bit_matrix()
+        else:
+            reps = [(m & -m).bit_length() - 1 for m in classes.values()]
+            bits = self._bit_matrix(reps)
+            if not np.array_equal(bits, bits[:, np.array(reps)[class_of]]):
+                self._raise_asymmetric()
+            bits = bits[:, reps]
+        if not _is_symmetric(bits):
+            self._raise_asymmetric()
+        self._twins = classes
+
+    def _raise_bad_row(self) -> None:
+        """Name the first out-of-range row or self-loop in vertex order."""
         full = (1 << self.n) - 1
         for v, row in enumerate(self._adj):
             if row & ~full:
                 raise ValueError(f"row {v} has bits outside 0..{self.n - 1}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        # Symmetry is checked over the upper-triangle tiles, each against its
-        # mirror, so transposed reads stay within cache.  Only on a mismatch
-        # is the whole matrix compared: argwhere lists pairs in row-major
-        # order, so the first offender is the one a scan of the rows in
-        # order meets first.
+
+    def _raise_asymmetric(self) -> None:
+        """Name the first asymmetric pair: argwhere lists pairs in
+        row-major order, so this is the one a scan of the rows in order
+        meets first."""
         bits = self._bit_matrix()
-        t = _SYMMETRY_TILE
-        for i in range(0, self.n, t):
-            for j in range(i, self.n, t):
-                tile, mirror = bits[i : i + t, j : j + t], bits[j : j + t, i : i + t]
-                if not np.array_equal(tile, mirror.T):
-                    v, u = np.argwhere(bits > bits.T)[0].tolist()
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        v, u = np.argwhere(bits > bits.T)[0].tolist()
+        raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -109,14 +173,18 @@ class Graph:
             g._add_edge(u, v)
         return g
 
-    # Builder-phase only; library consumers use with_edge/without_edge.
-    def _add_edge(self, u: int, v: int) -> None:
+    def _check_pair(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+
+    # Builder-phase only; library consumers use with_edge/without_edge.
+    def _add_edge(self, u: int, v: int) -> None:
+        self._check_pair(u, v)
         self._adj[u] |= 1 << v
         self._adj[v] |= 1 << u
+        self._twins = None
 
     def neighbors_mask(self, v: int) -> int:
         return self._adj[v]
@@ -143,11 +211,13 @@ class Graph:
         """Vertices grouped by identical adjacency row, as {row: members
         bitset}, in order of least member.  Twins are never adjacent (a
         twin in v's row would put v in its own row), so swapping two of
-        them is an automorphism."""
-        classes: dict[int, int] = {}
-        for v, row in enumerate(self._adj):
-            classes[row] = classes.get(row, 0) | (1 << v)
-        return classes
+        them is an automorphism.
+
+        The grouping is computed once per graph (by validation, or by the
+        first call after a builder edit) and returned as a fresh dict."""
+        if self._twins is None:
+            self._twins = _twin_grouping(self._adj)[0]
+        return dict(self._twins)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges (u, v) with u < v in lexicographic order."""
@@ -157,9 +227,11 @@ class Graph:
                 yield (u, u + 1 + k)
 
     def with_edge(self, u: int, v: int) -> "Graph":
-        g = Graph(self.n, self._adj)
-        g._add_edge(u, v)
-        return g
+        self._check_pair(u, v)
+        rows = list(self._adj)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        return Graph(self.n, rows)
 
     def without_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
@@ -266,13 +338,20 @@ def make_complete_multipartite(spec: PartSpec | Sequence[int]) -> Graph:
     return Graph(spec.total, _complete_multipartite_rows(spec.sizes))
 
 
+def _plus_edge_graph(sizes: Sequence[int]) -> Graph:
+    """K(sizes) plus the edge (0, 1), set in the rows before the one
+    validation; sizes[0] >= 2."""
+    rows = _complete_multipartite_rows(sizes)
+    rows[0] |= 0b10
+    rows[1] |= 0b01
+    return Graph(len(rows), rows)
+
+
 def make_kr_plus(spec: PartSpec | Sequence[int]) -> Graph:
     """K_r(s_1, ..., s_r) plus one edge between the two lowest vertices of part 1."""
     spec = spec if isinstance(spec, PartSpec) else PartSpec(tuple(spec))
     spec.require_first_part_at_least_two()
-    g = make_complete_multipartite(spec)
-    g._add_edge(0, 1)
-    return g
+    return _plus_edge_graph(spec.sizes)
 
 
 def make_turan_plus_edge(n: int, r: int) -> Graph:
@@ -280,9 +359,7 @@ def make_turan_plus_edge(n: int, r: int) -> Graph:
     sizes = turan_part_sizes(n, r)
     if sizes[0] < 2:
         raise ValueError(f"T_{r}({n}) has no part of size >= 2")
-    g = make_turan(n, r)
-    g._add_edge(0, 1)
-    return g
+    return _plus_edge_graph([s for s in sizes if s > 0])
 
 
 def complete_graph(n: int) -> Graph:

@@ -178,9 +178,9 @@ def _twin_quotient(g: Graph) -> tuple[Graph, list[int]]:
     """(Q, class sizes) of G's twin classes, in order of least member; Q is
     G itself when G is twin-free.  Twins are never adjacent, so Q, the
     graph of the classes' least members, is the 0/1 class graph."""
-    if len(set(g._adj)) == g.n:
-        return g, [1] * g.n
     classes = g.twin_classes().values()
+    if len(classes) == g.n:
+        return g, [1] * g.n
     quotient = g.induced_subgraph([(m & -m).bit_length() - 1 for m in classes])
     return quotient, [m.bit_count() for m in classes]
 

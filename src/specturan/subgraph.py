@@ -33,10 +33,13 @@ graph, which lets one per-graph analysis build it once for both.
 2-coloring grows BFS layers as bitsets, O(n) big-int ORs whatever the
 edge count; an edge inside a layer proves an odd cycle.
 
+`clique_exists` and `book_size` search only the least member of each
+twin class, which the graph keeps from its validation: the least clique,
+and the least clique with the largest book, consist of representatives.
 `clique_exists` first tries to certify absence: a greedy (r-1)-coloring
-by vertex index, with one bitset per color class, costs O(n r) big-int
-ANDs whatever the edge count, and only when it fails does the ordered
-search run.
+of the representatives by index, with one bitset per color class, costs
+O(k r) big-int ANDs for k classes, and only when it fails does the
+ordered search run.
 """
 
 from __future__ import annotations
@@ -157,16 +160,29 @@ def count_cliques(g: Graph, r: int) -> CliqueCount:
     return CliqueCount(r, _count_cliques_in(g._adj, full, r))
 
 
+def _representatives(g: Graph) -> int:
+    """Bitset of the least member of each twin class of g."""
+    reps = 0
+    for members in g.twin_classes().values():
+        reps |= members & -members
+    return reps
+
+
 def _greedy_colorable(g: Graph, colors: int) -> bool:
     """Greedy coloring by vertex index; success proves K_{colors+1}-freeness.
 
     Vertex v takes the least color whose class (a bitset of lower
-    vertices) misses v's row.
+    vertices) misses v's row.  Only twin-class representatives are
+    colored: by induction on v, every vertex of G would take the color of
+    the least member of its class, which lies below it and whose row is
+    its own, so G's greedy coloring succeeds exactly when theirs does.
     """
     if colors <= 0:
         return g.n == 0
+    adj = g._adj
     classes = [0] * colors
-    for v, row in enumerate(g._adj):
+    for v in _iter_bits(_representatives(g)):
+        row = adj[v]
         for c in range(colors):
             if not row & classes[c]:
                 classes[c] |= 1 << v
@@ -200,7 +216,14 @@ def _clique_rec(adj: Sequence[int], cand: int, need: int, out: list[int]) -> boo
 
 
 def clique_exists(g: Graph, r: int) -> tuple[int, ...] | None:
-    """Lexicographically least r-clique, or None after exhaustive search."""
+    """Lexicographically least r-clique, or None after exhaustive search.
+
+    Both the coloring certificate and the search run on the twin-class
+    representatives (least members).  A clique holds at most one vertex
+    per class, and replacing each by its class's least member keeps a
+    clique and gives an elementwise smaller sorted tuple, so the least
+    r-clique of G is a clique of representatives.
+    """
     if r < 1:
         raise ValueError("clique order must be at least 1")
     if r > g.n:
@@ -211,7 +234,7 @@ def clique_exists(g: Graph, r: int) -> tuple[int, ...] | None:
     if _greedy_colorable(g, r - 1):
         return None
     out: list[int] = []
-    if _clique_rec(g._adj, (1 << g.n) - 1, r, out):
+    if _clique_rec(g._adj, _representatives(g), r, out):
         return tuple(out)
     return None
 
@@ -390,14 +413,20 @@ def _book_rec(
 
 def book_size(g: Graph, r: int) -> BookReport:
     """Max |common neighborhood| over r-cliques; witness is the
-    lexicographically least maximizing clique."""
+    lexicographically least maximizing clique.
+
+    Base cliques are drawn from the twin-class representatives only, while
+    common neighbourhoods are counted in all of G.  Replacing each vertex
+    of a clique by its class's least member keeps the common
+    neighbourhood (twins share rows) and gives an elementwise smaller
+    sorted tuple, so the least maximizing clique is one of representatives.
+    """
     if r < 1:
         raise ValueError("base clique order must be at least 1")
     if r > g.n:
         return BookReport(r, None, 0)
-    full = (1 << g.n) - 1
     best: list = [-1, None]
-    _book_rec(g._adj, full, full, r, [], best)
+    _book_rec(g._adj, _representatives(g), (1 << g.n) - 1, r, [], best)
     if best[0] < 0:
         return BookReport(r, None, 0)
     return BookReport(r, best[1], best[0])

@@ -714,6 +714,7 @@ def check_book_remark(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVerd
 class StabilityWitness:
     vertices: tuple[int, ...]
     coloring: tuple[int, ...]  # color of vertices[i]
+    min_degree: int  # delta of the induced subgraph on `vertices`
 
 
 def _conflict_peel_order(sub: Graph, members: list[int], r: int) -> int:
@@ -799,7 +800,7 @@ def find_stability_witness(
     if res.status is not SearchStatus.FOUND:
         return None, False
     _verify_coloring(sub, res.coloring)
-    return StabilityWitness(tuple(members), res.coloring), False
+    return StabilityWitness(tuple(members), res.coloring, sub.min_degree()), False
 
 
 def _verify_coloring(g: Graph, coloring: Sequence[int]) -> None:
@@ -879,14 +880,13 @@ def check_stability(
     # Branch (b)
     witness, capped = a.stability_witness(r, order_threshold, degree_threshold)
     if witness is not None:
-        sub = g.induced_subgraph(list(witness.vertices))
         b_state = TriState.YES
         b_cert = {
             "type": "induced_r_partite",
             "vertices": list(witness.vertices),
             "coloring": list(witness.coloring),
             "order": len(witness.vertices),
-            "min_degree": sub.min_degree(),
+            "min_degree": witness.min_degree,
         }
     else:
         b_state = TriState.INCONCLUSIVE  # incomplete finder: not-found only

@@ -523,3 +523,100 @@ def _reference_component_iteration(a_sub, tol, max_iter):
         rho_prev = rho
         x = y / np.linalg.norm(y)
     return rho - shift, res, iters, converged
+
+
+# Full-vertex reference paths kept from before validation and the clique
+# and book searches moved onto the twin quotient.
+
+
+def reference_check_well_formed(n: int, rows: list[int]) -> None:
+    """Rows in range and loop-free, scanned in vertex order, then symmetry
+    on the whole n x n bit matrix; raises the library's ValueError
+    messages naming the first offender."""
+    full = (1 << n) - 1
+    for v, row in enumerate(rows):
+        if row & ~full:
+            raise ValueError(f"row {v} has bits outside 0..{n - 1}")
+        if (row >> v) & 1:
+            raise ValueError(f"self-loop at vertex {v}")
+    for v in range(n):
+        for u in range(n):
+            if (rows[v] >> u) & 1 and not (rows[u] >> v) & 1:
+                raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+
+def reference_twin_classes(g: Graph) -> dict[int, int]:
+    """{row: members} regrouped from the rows, in order of least member."""
+    classes: dict[int, int] = {}
+    for v in range(g.n):
+        row = g.neighbors_mask(v)
+        classes[row] = classes.get(row, 0) | (1 << v)
+    return classes
+
+
+def _reference_clique_rec(g: Graph, cand: int, need: int, out: list[int]) -> bool:
+    if need == 0:
+        return True
+    for v in _iter_bits(cand):
+        out.append(v)
+        above = cand & ~((2 << v) - 1)
+        if _reference_clique_rec(g, g.neighbors_mask(v) & above, need - 1, out):
+            return True
+        out.pop()
+    return False
+
+
+def reference_clique_exists(g: Graph, r: int) -> tuple[int, ...] | None:
+    """Lexicographically least r-clique, searched over all n vertices."""
+    if r < 1:
+        raise ValueError("clique order must be at least 1")
+    if r > g.n:
+        return None
+    out: list[int] = []
+    if _reference_clique_rec(g, (1 << g.n) - 1, r, out):
+        return tuple(out)
+    return None
+
+
+def reference_book_size(g: Graph, r: int) -> tuple[int, tuple[int, ...] | None]:
+    """(book size, least maximizing r-clique), with base cliques searched
+    over all n vertices; (0, None) when G has no r-clique."""
+    best: list = [-1, None]
+
+    def rec(cand: int, common: int, stack: list[int]) -> None:
+        if len(stack) == r:
+            if common.bit_count() > best[0]:
+                best[0], best[1] = common.bit_count(), tuple(stack)
+            return
+        for v in _iter_bits(cand):
+            row = g.neighbors_mask(v)
+            rec(row & cand & ~((2 << v) - 1), common & row, stack + [v])
+
+    if 1 <= r <= g.n:
+        rec((1 << g.n) - 1, (1 << g.n) - 1, [])
+    return (0, None) if best[0] < 0 else (best[0], best[1])
+
+
+def shuffled_twin_blowup(
+    base: Graph, sizes: list[int], seed: int
+) -> tuple[list[int], list[list[int]]]:
+    """Rows of the blow-up of `base` that replaces vertex i by sizes[i]
+    pairwise non-adjacent twins, relabelled by a seeded shuffle; also the
+    relabelled vertex lists of the classes, in base order."""
+    n = sum(sizes)
+    perm = list(range(n))
+    rng = SplitMix64(seed)
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    classes, start = [], 0
+    for s in sizes:
+        classes.append(sorted(perm[start : start + s]))
+        start += s
+    rows = [0] * n
+    for i, j in base.edges():
+        for u in classes[i]:
+            for v in classes[j]:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return rows, classes

@@ -1,0 +1,174 @@
+"""The twin quotient each Graph keeps: validation, the cached classes and
+the clique and book searches on representatives, pinned against the
+full-vertex references in `oracles` on shuffled twin blow-ups."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from oracles import (
+    brute_greedy_colorable,
+    reference_book_size,
+    reference_check_well_formed,
+    reference_clique_exists,
+    reference_twin_classes,
+    shuffled_twin_blowup,
+)
+from specturan.graph import (
+    Graph,
+    graph_from_edge_mask,
+    make_kr_plus,
+    make_turan,
+    make_turan_plus_edge,
+    random_gnm,
+    read_edge_list,
+    write_edge_list,
+)
+from specturan.subgraph import _greedy_colorable, book_size, clique_exists
+
+BLOWUP_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
+
+
+@hst.composite
+def blowups(draw):
+    """(rows, twin groups of the rows): G(k, m) with each vertex replaced by
+    1-4 twins and the labels shuffled, all from drawn seeds."""
+    k = draw(hst.integers(min_value=1, max_value=7))
+    m = draw(hst.integers(min_value=0, max_value=k * (k - 1) // 2))
+    base = random_gnm(k, m, draw(hst.integers(min_value=0, max_value=2**32)))
+    sizes = draw(hst.lists(hst.integers(1, 4), min_size=k, max_size=k))
+    rows, _ = shuffled_twin_blowup(base, sizes, draw(hst.integers(0, 2**32)))
+    groups: dict[int, list[int]] = {}
+    for v, row in enumerate(rows):
+        groups.setdefault(row, []).append(v)
+    return rows, list(groups.values())
+
+
+def _message(build) -> str | None:
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_same_verdict(rows: list[int]) -> str | None:
+    n = len(rows)
+    expected = _message(lambda: reference_check_well_formed(n, list(rows)))
+    assert _message(lambda: Graph(n, rows)) == expected
+    return expected
+
+
+class TestValidation:
+    @given(blowups())
+    @BLOWUP_SETTINGS
+    def test_blowups_are_accepted(self, case):
+        rows, groups = case
+        assert _assert_same_verdict(rows) is None
+        g = Graph(len(rows), rows)
+        assert g.twin_classes() == reference_twin_classes(g)
+        assert len(g.twin_classes()) == len(groups)
+
+    @given(blowups())
+    @BLOWUP_SETTINGS
+    def test_asymmetric_bit_on_each_non_least_twin(self, case):
+        # One bit x -> u, x outside u's class, with u a non-least twin: the
+        # classes' least members still induce a symmetric matrix, so only
+        # the compare of each class row across every class sees it.
+        rows, groups = case
+        for members in groups:
+            outside = [w for w in range(len(rows)) if w not in members]
+            for u in members[1:]:
+                x = next((w for w in outside if not (rows[w] >> u) & 1), None)
+                if x is None:
+                    continue
+                planted = list(rows)
+                planted[x] |= 1 << u
+                assert _assert_same_verdict(planted) is not None
+
+    @given(blowups(), hst.integers(min_value=0, max_value=2**16))
+    @BLOWUP_SETTINGS
+    def test_out_of_range_bit(self, case, pick):
+        rows, _ = case
+        n = len(rows)
+        planted = list(rows)
+        planted[pick % n] |= 1 << (n + pick % 3)
+        assert _assert_same_verdict(planted) is not None
+
+    @given(blowups(), hst.integers(min_value=0, max_value=2**16))
+    @BLOWUP_SETTINGS
+    def test_self_loop_on_non_least_twin(self, case, pick):
+        rows, groups = case
+        twins = [members for members in groups if len(members) > 1]
+        if not twins:
+            return
+        members = twins[pick % len(twins)]
+        v = members[1 + pick % (len(members) - 1)]
+        planted = list(rows)
+        planted[v] |= 1 << v
+        assert _assert_same_verdict(planted) == f"self-loop at vertex {v}"
+        # With a later vertex's row also out of range, the first offender in
+        # vertex order is still the self-loop.
+        if v + 1 < len(rows):
+            planted[-1] |= 1 << len(rows)
+            assert _assert_same_verdict(planted) == f"self-loop at vertex {v}"
+
+    def test_self_loop_shared_by_twins(self):
+        # 1 and 3 keep identical rows, both holding bit 3: the loop is at 3,
+        # after the out-of-range row 2.
+        rows = [0b1010, 0b0001, 0b10000, 0b0001]
+        rows[1] |= 1 << 3
+        rows[3] |= 1 << 3
+        assert _assert_same_verdict(rows) == "row 2 has bits outside 0..3"
+        rows[2] = 0
+        assert _assert_same_verdict(rows) == "self-loop at vertex 3"
+
+
+class TestSearchesOnRepresentatives:
+    @given(blowups())
+    @BLOWUP_SETTINGS
+    def test_clique_book_and_greedy_match_full_search(self, case):
+        rows, _ = case
+        g = Graph(len(rows), rows)
+        for r in range(1, 6):
+            assert clique_exists(g, r) == reference_clique_exists(g, r)
+            rep = book_size(g, r)
+            assert (rep.size, rep.base_clique) == reference_book_size(g, r)
+            assert _greedy_colorable(g, r) == brute_greedy_colorable(g, r)
+
+    def test_turan_plus_edge_least_clique_and_book(self):
+        g = make_turan_plus_edge(40, 3)
+        for r in range(1, 6):
+            assert clique_exists(g, r) == reference_clique_exists(g, r)
+            rep = book_size(g, r)
+            assert (rep.size, rep.base_clique) == reference_book_size(g, r)
+
+
+class TestTwinCache:
+    """twin_classes() must equal a fresh grouping of the rows after every
+    builder and after every builder-phase edit."""
+
+    BUILDERS = {
+        "from_edges": lambda: Graph.from_edges(6, [(0, 2), (1, 2), (3, 4), (0, 5)]),
+        "read_edge_list": lambda: read_edge_list(write_edge_list(make_turan(9, 3))),
+        "graph_from_edge_mask": lambda: graph_from_edge_mask(5, 0b1011000110),
+        "make_kr_plus": lambda: make_kr_plus((3, 2, 2)),
+        "make_turan_plus_edge": lambda: make_turan_plus_edge(11, 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_builder_then_add_edge(self, name):
+        g = self.BUILDERS[name]()
+        assert g.twin_classes() == reference_twin_classes(g)
+        missing = next((u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v))
+        g._add_edge(*missing)
+        assert g.twin_classes() == reference_twin_classes(g)
+
+    def test_edits_return_fresh_classes(self):
+        g = make_turan(8, 2)
+        assert g.with_edge(0, 1).twin_classes() == reference_twin_classes(g.with_edge(0, 1))
+        assert g.without_edge(0, 4).twin_classes() == reference_twin_classes(
+            g.without_edge(0, 4)
+        )
+        g.twin_classes()[0] = 1  # a caller's dict is its own
+        assert g.twin_classes() == reference_twin_classes(g)
