@@ -55,9 +55,10 @@ base = make_turan(6, 2)
 for name, g in [("T_2(6)", base), ("T_2(6)+e", base.with_edge(0, 1))]:
     cmp = compare_mu_to_turan(g, 2)
     print(f"{name}: mu ~ {cmp.mu_g.value:.10f} vs mu(T_2(6)) = {cmp.mu_turan:.10f}"
-          f" -> {cmp.verdict.value}")
-print("The exact tie on T_2(6) itself stays inconclusive by design:")
-print("strict inequalities are never decided by a raw float comparison.")
+          f" -> {cmp.verdict.value}{' (settled exactly)' if cmp.exact else ''}")
+print("T_2(6) ties itself, so the float interval leaves it open: strict")
+print("inequalities are never decided by a raw float comparison, and the tie")
+print("is settled by comparing the exact roots of the twin quotients.")
 
 print()
 print("== Seeded G(n, m): reproducible by construction ==")

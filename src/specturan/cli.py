@@ -3,7 +3,8 @@
 stdout carries machine-parseable output only (JSON by default, CSV via
 --format csv with identical numeric content); all diagnostics go to
 stderr.  Exit codes: 0 success / no counterexample, 1 usage or IO error,
-2 counterexample found, 3 inconclusive (budget or tolerance).
+2 counterexample found, 3 inconclusive (a search budget, an unconverged
+estimate, or a spectral tie above the exact path's cap on twin classes).
 
 Numeric flags accept scientific notation.  SPECTURAN_BUDGET and
 SPECTURAN_TOL override the built-in defaults; explicit flags win over the

@@ -20,10 +20,9 @@ own class.  Spectral comparisons the interval leaves open are settled
 exactly by algebraic root comparison, once per class, so every instance
 ends with a definite verdict and the tie log stays auditable.
 
-The family sweep and the random hunt run each graph's checks with one
-`theorems.run_checks` call, so mu, the Turan reference and js_{r+1} are
-computed once per graph rather than once per check, and settle each
-exact tie hook at most once per graph.  Nothing is kept across graphs.
+The family sweep and the random hunt record what one `theorems.run_checks`
+call returns per graph: mu, the Turan reference, its exact tie settlement
+and js_{r+1} are computed once per graph.  Nothing is kept across graphs.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .spectral import (
     Verdict,
     compare_mu_exact_multipartite,
     compare_mu_to_threshold,
-    exact_mu_greater_than_rational,
     interval_flags,
     spectral_radii,
     turan_mu_exact,
@@ -68,7 +66,6 @@ from .subgraph import (
 from .theorems import (
     CHECKS,
     DEFAULT_B,
-    ExactHook,
     TheoremId,
     TheoremVerdict,
     TriState,
@@ -129,6 +126,8 @@ class ExperimentConfig:
                     raise ValueError(f"check {check!r} has no per-graph path")
                 if spec.needs_c and self.c <= 0:
                     raise ValueError(f"check {check!r} needs c > 0")
+                if "b" in spec.params and self.b < 0:
+                    raise ValueError(f"check {check!r} needs b >= 0, got {self.b}")
         if self.mode == "tightness" and not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
 
@@ -308,23 +307,23 @@ def _scan_order(
         "instances": 0,
     }
     zeros = np.zeros(reps.shape[0], dtype=np.int64)
-    settled: dict[int, Verdict] = {}  # class id -> exact tie resolution
     if need_spectral:
         value, resid, conv = spectral_radii(graphs, tol)
         greater, not_greater = interval_flags(value, resid, conv, mu_t, tol)
         is_open = ~(greater | not_greater)
         parts = turan_part_sizes(n, r)
         for c in np.nonzero(is_open)[0]:
-            settled[int(c)] = compare_mu_exact_multipartite(graphs[c], parts)
-            greater[c] = settled[int(c)] is Verdict.GREATER
+            exact = compare_mu_exact_multipartite(graphs[c], parts)
+            greater[c] = exact is Verdict.GREATER
         for i in masks_where(is_open):
+            tie = Verdict.GREATER if greater[class_of[i]] else Verdict.NOT_GREATER
             out["inconclusive_log"].append(
                 {
                     "n": n,
                     "r": r,
                     "mask": int(masks[i]),
                     "stage": "exact",
-                    "resolution": settled[int(class_of[i])].value,
+                    "resolution": tie.value,
                 }
             )
 
@@ -334,9 +333,6 @@ def _scan_order(
             verdict = run_check(TheoremId(check), g, r, tol=tol)
             payload = verdict.to_json_dict()
             payload["mask"] = int(masks[i])
-            tie = settled.get(int(class_of[i]))
-            if tie is not None:
-                payload["spectral_resolved_exactly"] = tie.value
             if payload["graph"] is None:
                 payload["graph"] = write_edge_list(g)
             out["counterexamples"].append(payload)
@@ -376,9 +372,7 @@ def _scan_order(
             for i in boundary:
                 g = graph_from_edge_mask(n, int(masks[i]))
                 v = run_check(TheoremId.FACT_LENSLMM, g, r, tol=tol)
-                if v.conclusion is TriState.INCONCLUSIVE:
-                    hook = CHECKS[TheoremId.FACT_LENSLMM].exact
-                    ok = _exact_flag(hook, g, r, DEFAULT_B) is TriState.YES
+                if "conclusion_resolved" in v.detail:
                     out["inconclusive_log"].append(
                         {
                             "n": n,
@@ -386,12 +380,10 @@ def _scan_order(
                             "mask": int(masks[i]),
                             "stage": "exact",
                             "check": "lenslmm",
-                            "resolution": "yes" if ok else "no",
+                            "resolution": v.conclusion.value,
                         }
                     )
-                    if not ok:
-                        cx_idx.append(int(i))
-                elif v.conclusion is TriState.NO:
+                if v.conclusion is TriState.NO:
                     cx_idx.append(int(i))
             record_counterexamples(check, np.array(cx_idx, dtype=np.int64))
             if collect_stats:
@@ -463,49 +455,6 @@ def run_exhaustive(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _exact_flag(hook: ExactHook, g: Graph, r: int, b: float) -> TriState:
-    """The flag a hook names, decided by exact algebraic comparison of mu(G)."""
-    if hook.bound is None:
-        exact = compare_mu_exact_multipartite(g, turan_part_sizes(g.n, r))
-        greater = exact is Verdict.GREATER
-    else:
-        greater = exact_mu_greater_than_rational(g, hook.bound(g, r, b))
-    return TriState.YES if greater == hook.yes_if_greater else TriState.NO
-
-
-def _apply_checks_resolved(
-    cfg: ExperimentConfig, checks: Sequence[str], g: Graph
-) -> list[TheoremVerdict]:
-    """The scalar checkers of `checks` on one graph, plus exact settlement of
-    interval near-ties.
-
-    The checkers run together through `run_checks`, against one analysis
-    of g.  The certified checkers report INCONCLUSIVE on exact spectral
-    ties (e.g. G = T_r(n) itself); experiment verdicts escalate those to
-    the algebraic comparison, once per hook for the graph, so every
-    recorded flag is definite.
-    """
-    tids = [TheoremId(check) for check in checks]
-    c = cfg.c if cfg.c > 0 else None
-    verdicts = run_checks(tids, g, cfg.r, tol=cfg.tol, budget=cfg.budget, c=c, b=cfg.b)
-    settled: dict[ExactHook, TriState] = {}
-    for tid, v in zip(tids, verdicts):
-        hook = CHECKS[tid].exact
-        if hook is not None and getattr(v, hook.flag) is TriState.INCONCLUSIVE:
-            if hook not in settled:
-                settled[hook] = _exact_flag(hook, g, cfg.r, cfg.b)
-            setattr(v, hook.flag, settled[hook])
-            v.detail[f"{hook.flag}_resolved"] = "exact"
-        if v.is_counterexample and v.graph_edges is None:
-            v.graph_edges = write_edge_list(g)
-    return verdicts
-
-
-def _apply_check_resolved(cfg: ExperimentConfig, check: str, g: Graph) -> TheoremVerdict:
-    """One check of `_apply_checks_resolved`."""
-    return _apply_checks_resolved(cfg, (check,), g)[0]
-
-
 def _family_graph(name: str, n: int, r: int) -> Graph | None:
     """None means the family member does not exist at this (n, r)."""
     if name == "turan":
@@ -543,12 +492,14 @@ def run_family_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     instance_rows: list[dict] = []
     js_stats: list[dict] = []
     instances = 0
+    tids = [TheoremId(check) for check in cfg.checks]
+    given = dict(tol=cfg.tol, budget=cfg.budget, c=cfg.c if cfg.c > 0 else None, b=cfg.b)
     for n in range(cfg.n_min, cfg.n_max + 1):
         for family in cfg.families:
             g = _family_graph(family, n, cfg.r)
             if g is None:
                 continue
-            verdicts = _apply_checks_resolved(cfg, cfg.checks, g)
+            verdicts = run_checks(tids, g, cfg.r, **given)
             for check, v in zip(cfg.checks, verdicts):
                 instances += 1
                 if v.is_counterexample:
@@ -594,6 +545,8 @@ def run_random_hunt(cfg: ExperimentConfig) -> ExperimentReport:
     summaries: list[dict] = []
     base = SplitMix64(cfg.seed)
     trial_seeds = [base.next_u64() for _ in range(cfg.trials)]
+    tids = [TheoremId(check) for check in cfg.checks]
+    given = dict(tol=cfg.tol, budget=cfg.budget, c=cfg.c if cfg.c > 0 else None, b=cfg.b)
     for n in range(cfg.n_min, cfg.n_max + 1):
         max_m = n * (n - 1) // 2
         m = min(max(turan_edge_count(n, cfg.r) + cfg.m_offset, 0), max_m)
@@ -601,7 +554,7 @@ def run_random_hunt(cfg: ExperimentConfig) -> ExperimentReport:
         concl_yes = 0
         for t, s in enumerate(trial_seeds):
             g = random_gnm(n, m, s)
-            verdicts = _apply_checks_resolved(cfg, cfg.checks, g)
+            verdicts = run_checks(tids, g, cfg.r, **given)
             for check, v in zip(cfg.checks, verdicts):
                 instances += 1
                 if v.is_counterexample:

@@ -25,16 +25,18 @@ no linear-algebra dependency; that solver doubles as an independent oracle
 for the power iteration.
 
 Every comparison goes through `interval_flags`: the estimate is widened by
-its residual, the reference by a tolerance, and overlapping intervals yield
-INCONCLUSIVE rather than a silent float decision.  The genuine ties an
-exhaustive scan produces are settled exactly on the same twin quotient:
-with integer B[i][j] = |row(class i) ∩ class j| = s_j Q[i][j], the
-equitable partition makes mu(G) the largest real root of B's
-characteristic polynomial (Godsil & Royle, Algebraic Graph Theory, §9.3),
-which sympy isolates as an algebraic number.  K(s_1, ..., s_r) is the case
-B[i][j] = s_j for i != j, so `_largest_root` serves both sides of every
-exact comparison of two mu values; against a rational, the roots above it
-are counted instead, by Sturm's theorem.
+its residual, the reference by a tolerance, and overlapping intervals never
+yield a silent float decision.  An interval left open (a genuine tie such
+as G = T_r(n) itself, or an unconverged estimate) is settled exactly on the
+same twin quotient: with integer B[i][j] = |row(class i) ∩ class j| =
+s_j Q[i][j], the equitable partition makes mu(G) the largest real root of
+B's characteristic polynomial (Godsil & Royle, Algebraic Graph Theory,
+§9.3), which sympy isolates as an algebraic number.  K(s_1, ..., s_r) is
+the case B[i][j] = s_j for i != j, so `_largest_root` serves both sides of
+every exact comparison of two mu values; against a rational, the roots
+above it are counted instead, by Sturm's theorem.  The polynomial is
+k x k for k twin classes, so the exact path serves only k <=
+`EXACT_MAX_CLASSES`; above it an open interval stays INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,6 +56,9 @@ DEFAULT_TOL = 1e-10
 EXACT_SOLVER_TOL = 1e-12
 _BATCH_CHUNK = 1 << 16  # graphs per batched power-iteration pass
 _SHIFT_STEP = 100  # power-iteration steps on A + I before a slow run is shifted
+# Most twin classes the exact path serves: its k x k polynomial takes 0.3 s
+# at k = 32, 37 s at k = 60 (random twin-free G(n, m), 2-vCPU VM).
+EXACT_MAX_CLASSES = 32
 
 
 def default_max_iter(n: int) -> int:
@@ -115,6 +120,7 @@ class SpectralComparison:
     mu_g: SpectralEstimate
     mu_turan: float
     verdict: Verdict
+    exact: bool = False  # the interval left it open; the exact roots settled it
 
 
 def _component_power_iteration(
@@ -364,12 +370,6 @@ def interval_flags(value, residual, converged, reference, ref_tol):
     return greater, not_greater
 
 
-def _verdict(greater: bool, not_greater: bool) -> Verdict:
-    if greater:
-        return Verdict.GREATER
-    return Verdict.NOT_GREATER if not_greater else Verdict.INCONCLUSIVE
-
-
 def _turan_reference(n: int, r: int, tol: float) -> float:
     """mu(T_r(n)) as the float reference of a certified Turan comparison."""
     if r < 2:
@@ -379,17 +379,54 @@ def _turan_reference(n: int, r: int, tol: float) -> float:
     return turan_mu_exact(n, r, tol=min(tol, EXACT_SOLVER_TOL))
 
 
-def _compare_estimate(
-    est: SpectralEstimate, reference: float | Fraction, tol: float
+def _exact_in_reach(g: Graph) -> bool:
+    """Whether G has few enough twin classes for the exact path."""
+    return len(g.twin_classes()) <= EXACT_MAX_CLASSES
+
+
+def _certified(
+    g: Graph,
+    est: SpectralEstimate,
+    reference: float | Fraction,
+    tol: float,
+    exact_greater: Callable[[], bool],
 ) -> SpectralComparison:
-    """The certified verdict of an estimate already computed against a
-    float reference, or, in exact rational arithmetic, a Fraction one."""
+    """The verdict of est, an estimate of mu(G), against a float reference
+    or, in exact rational arithmetic, a Fraction one.  An interval left open
+    falls through to exact_greater() when G is within the exact path's
+    reach, and the comparison is marked exact."""
+    value, residual = est.value, est.residual
     if isinstance(reference, Fraction):
-        value, residual = Fraction(est.value), Fraction(est.residual)
-        flags = interval_flags(value, residual, est.converged, reference, Fraction(tol))
+        value, residual, tol = Fraction(value), Fraction(residual), Fraction(tol)
+    greater, not_greater = interval_flags(value, residual, est.converged, reference, tol)
+    if greater or not_greater:
+        verdict, exact = Verdict.GREATER if greater else Verdict.NOT_GREATER, False
+    elif _exact_in_reach(g):
+        verdict, exact = Verdict.GREATER if exact_greater() else Verdict.NOT_GREATER, True
     else:
-        flags = interval_flags(est.value, est.residual, est.converged, reference, tol)
-    return SpectralComparison(est, float(reference), _verdict(*flags))
+        verdict, exact = Verdict.INCONCLUSIVE, False
+    return SpectralComparison(est, float(reference), verdict, exact)
+
+
+def _turan_comparison(
+    g: Graph, est: SpectralEstimate, r: int, tol: float
+) -> SpectralComparison:
+    """`_certified` against mu(T_r(n)), settled by the exact roots."""
+    return _certified(
+        g, est, _turan_reference(g.n, r, tol), tol,
+        lambda: compare_mu_exact_multipartite(g, turan_part_sizes(g.n, r))
+        is Verdict.GREATER,
+    )
+
+
+def _threshold_comparison(
+    g: Graph, est: SpectralEstimate, threshold: Fraction, tol: float
+) -> SpectralComparison:
+    """`_certified` against a rational threshold, settled by Sturm counting."""
+    return _certified(
+        g, est, Fraction(threshold), tol,
+        lambda: exact_mu_greater_than_rational(g, threshold),
+    )
 
 
 def compare_mu_to_turan(
@@ -397,11 +434,13 @@ def compare_mu_to_turan(
 ) -> SpectralComparison:
     """Certified comparison of mu(G) against mu(T_r(n)), n = |G|.
 
-    GREATER / NOT_GREATER are interval-rigorous; near-ties (including
-    G = T_r(n) itself) come back INCONCLUSIVE.
+    GREATER / NOT_GREATER come from the interval when it decides, and
+    otherwise (near-ties such as G = T_r(n) itself, or an unconverged
+    estimate) from the exact quotient roots, with `exact` set.  Only a host
+    with more than `EXACT_MAX_CLASSES` twin classes can come back
+    INCONCLUSIVE.
     """
-    mu_t = _turan_reference(g.n, r, tol)
-    return _compare_estimate(spectral_radius(g, tol=tol), mu_t, tol)
+    return _turan_comparison(g, spectral_radius(g, tol=tol), r, tol)
 
 
 def compare_mu_to_threshold(
@@ -413,9 +452,10 @@ def compare_mu_to_threshold(
     rational arithmetic; tol covers the floating-point bias of the Rayleigh
     evaluation itself, which the residual alone does not (an exact tie can
     otherwise round to the wrong side).  Callers working far above
-    n ~ 1000 should scale tol up with n^2 * eps.
+    n ~ 1000 should scale tol up with n^2 * eps.  An interval left open is
+    settled exactly, as in `compare_mu_to_turan`, up to the same cap.
     """
-    return _compare_estimate(spectral_radius(g, tol=tol), Fraction(threshold), tol)
+    return _threshold_comparison(g, spectral_radius(g, tol=tol), threshold, tol)
 
 
 def _char_poly(b: list[list[int]]):

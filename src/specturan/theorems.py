@@ -5,8 +5,9 @@ conclusion flags plus a machine-checkable certificate.  Inequality
 conclusions (joint counts against n^{r-1}/r^k bounds, degree thresholds,
 edge counts) are decided in exact rational arithmetic; floating point
 enters only through eigenvalue estimates, which carry certified intervals,
-so a YES is rigorous and a near-tie comes back INCONCLUSIVE instead of
-being guessed.
+so a YES is rigorous.  A spectral flag the interval leaves open (T_r(n)
+ties mu(T_r(n))) is settled by the exact quotient root, and the detail says
+so: `hypothesis_resolved` or `conclusion_resolved` = "exact".
 
 A verdict with hypothesis YES and conclusion NO is a counterexample
 record: it serializes the full graph so the claim can be re-checked
@@ -18,10 +19,10 @@ its stability form both bound js_{r+1}(G).  `run_checks` therefore runs
 all of one graph's checks against one per-graph analysis
 (`_GraphAnalysis`), which computes the mu estimate, the Turan
 comparison, k_r, the least K_{r+1}, js_{r+1}, the twin-class-pair table,
-each K_r^+ search and each stability witness at most once and is dropped
-when the call returns.  `run_checks` hands that analysis to the public
-`check_*` functions themselves in place of the graph; called with a
-`Graph`, each builds a fresh one.  Clique and joint witnesses are still
+each tie settlement, each K_r^+ search and each stability witness at most
+once, and is dropped when the call returns.  `run_checks` hands it to the
+public `check_*` functions in place of the graph; called with a `Graph`,
+each builds a fresh one.  Clique and joint witnesses are still
 re-checked once per verdict; a K_r^+ embedding and a stability colouring
 are validated once, by the search that found them.
 """
@@ -40,8 +41,10 @@ from .spectral import (
     SpectralComparison,
     SpectralEstimate,
     Verdict,
-    _compare_estimate,
-    _turan_reference,
+    _exact_in_reach,
+    _threshold_comparison,
+    _turan_comparison,
+    exact_mu_greater_than_rational,
     spectral_radius,
 )
 from .subgraph import (
@@ -174,13 +177,17 @@ def _hyp_from(cmp: SpectralComparison) -> TriState:
     return TriState.INCONCLUSIVE
 
 
-def _spectral_detail(cmp: SpectralComparison) -> dict:
-    return {
+def _spectral_detail(cmp: SpectralComparison, flag: str = "hypothesis") -> dict:
+    """The estimate behind cmp, and `<flag>_resolved` if it was settled."""
+    detail = {
         "mu_value": cmp.mu_g.value,
         "mu_residual": cmp.mu_g.residual,
         "mu_converged": cmp.mu_g.converged,
         "mu_reference": cmp.mu_turan,
     }
+    if cmp.exact:
+        detail[f"{flag}_resolved"] = "exact"
+    return detail
 
 
 def _attach_graph(verdict: TheoremVerdict, g: Graph | None) -> TheoremVerdict:
@@ -245,7 +252,8 @@ def turan_edge_count(n: int, r: int) -> int:
 
 class _GraphAnalysis:
     """What several checkers of one graph share, each computed at most once:
-    the mu estimate per tol, the Turan comparison per (r, tol), k_q, the
+    the mu estimate per tol, the Turan comparison per (r, tol) and each
+    threshold comparison per tol (ties settled in them), k_q, the
     least K_q, js_q, the twin-class-pair table (shared by `joint_size` and
     `find_kr_plus`), the K_r^+ search per (sizes, budget) and the
     stability witness per (r, thresholds).
@@ -269,12 +277,17 @@ class _GraphAnalysis:
 
     def turan(self, r: int, tol: float) -> SpectralComparison:
         """What `compare_mu_to_turan(g, r, tol)` returns."""
+        return self._once(
+            ("turan", r, tol),
+            lambda: _turan_comparison(self.g, self.estimate(tol), r, tol),
+        )
 
-        def compare() -> SpectralComparison:
-            mu_t = _turan_reference(self.g.n, r, tol)
-            return _compare_estimate(self.estimate(tol), mu_t, tol)
-
-        return self._once(("turan", r, tol), compare)
+    def threshold(self, threshold: Fraction, tol: float) -> SpectralComparison:
+        """What `compare_mu_to_threshold(g, threshold, tol)` returns."""
+        return self._once(
+            ("threshold", threshold, tol),
+            lambda: _threshold_comparison(self.g, self.estimate(tol), threshold, tol),
+        )
 
     def cliques(self, q: int) -> int:
         return self._once(("k", q), lambda: count_cliques(self.g, q).count)
@@ -472,16 +485,18 @@ def _lenslmm_coef(n: int, r: int) -> Fraction:
     return Fraction(r * (r - 1), r + 1) * Fraction(n, r) ** (r + 1)
 
 
-def _lenslmm_mu_bound(g: Graph, r: int, b: float) -> Fraction:
+def _lenslmm_mu_bound(g: Graph | _GraphAnalysis, r: int) -> Fraction:
     """lenslmm holds iff mu <= n (k_r/coef + 1 - 1/r), solving k_r >= RHS(mu)
-    with coef > 0; b is unused (ExactHook signature)."""
-    kr = count_cliques(g, r).count
-    return g.n * (Fraction(kr) / _lenslmm_coef(g.n, r) + 1 - Fraction(1, r))
+    with coef > 0."""
+    a = _analysis(g)
+    n = a.g.n
+    return n * (Fraction(a.cliques(r)) / _lenslmm_coef(n, r) + 1 - Fraction(1, r))
 
 
 def check_fact_lenslmm(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVerdict:
     """k_r(G) >= (mu/n - 1 + 1/r) * r(r-1)/(r+1) * (n/r)^{r+1}, rigorous via
-    the certified upper bound on mu."""
+    the certified interval on mu; a conclusion the interval leaves open is
+    settled by comparing the exact mu with `_lenslmm_mu_bound`."""
     a = _analysis(g)
     if r < 2:
         raise ValueError("r must be at least 2")
@@ -526,6 +541,10 @@ def check_fact_lenslmm(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVer
             conclusion = TriState.INCONCLUSIVE
         rhs_str = str(rhs_hi)
         detail["slack"] = float(Fraction(kr) - rhs_hi)
+    if conclusion is TriState.INCONCLUSIVE and _exact_in_reach(g):
+        greater = exact_mu_greater_than_rational(g, _lenslmm_mu_bound(a, r))
+        conclusion = TriState.NO if greater else TriState.YES
+        detail["conclusion_resolved"] = "exact"
     v = TheoremVerdict(
         TheoremId.FACT_LENSLMM,
         n,
@@ -655,7 +674,7 @@ def check_edge_implies_spectral(
         detail = {}
     else:
         conclusion = _hyp_from(cmp)  # conclusion IS the spectral comparison
-        detail = _spectral_detail(cmp)
+        detail = _spectral_detail(cmp, "conclusion")
     v = TheoremVerdict(
         TheoremId.EDGE_IMPLIES_SPECTRAL,
         g.n,
@@ -847,10 +866,12 @@ def check_stability(
         raise ValueError(f"not a stability theorem: {which}")
     if r < 2:
         raise ValueError("r must be at least 2")
+    if b < 0:
+        raise ValueError(f"stability slack b must be at least 0, got {b}")
     g = a.g
     n = g.n
     threshold = _stability_threshold(g, r, b)
-    cmp = _compare_estimate(a.estimate(tol), threshold, tol)
+    cmp = a.threshold(threshold, tol)
     params_obj = TheoremParams(r=r, n=n, c=c, b=b)
 
     cbrt = b ** (1.0 / 3.0)
@@ -939,50 +960,33 @@ def check_stability(
 
 
 @dataclass(frozen=True)
-class ExactHook:
-    """The flag an exact mu(G) settles on a tie: YES iff mu(G) > bound(g, r, b)
-    (mu(T_r(n)) when bound is None), negated when yes_if_greater is False."""
-
-    flag: str  # "hypothesis" or "conclusion"
-    bound: Callable[[Graph, int, float], Fraction] | None = None
-    yes_if_greater: bool = True
-
-
-@dataclass(frozen=True)
 class CheckSpec:
-    """A checker, the run_check parameters it takes after (graph, r) in
-    order, and how its ties are settled.  `run_checks` passes graph-taking
-    checkers the graph's `_GraphAnalysis` and graph-free ones the order n."""
+    """A checker and the run_check parameters it takes after (graph, r), in
+    order.  `run_checks` passes graph-taking checkers the graph's
+    `_GraphAnalysis` and graph-free ones the order n."""
 
     checker: Callable[..., TheoremVerdict]
     params: tuple[str, ...]
-    exact: ExactHook | None = None
     needs_c: bool = False
     graph_free: bool = False
 
 
-_TURAN_HYP = ExactHook("hypothesis")
 _STABILITY = ("b", "which", "tol", "budget", "c")
-_STABILITY_HYP = ExactHook("hypothesis", _stability_threshold)
 
 CHECKS: dict[TheoremId, CheckSpec] = {
-    TheoremId.FACT_STT: CheckSpec(check_spectral_turan, ("tol",), _TURAN_HYP),
-    TheoremId.T1: CheckSpec(check_theorem1, ("tol",), _TURAN_HYP),
-    TheoremId.T2: CheckSpec(check_theorem2, ("c", "tol", "budget"), _TURAN_HYP, needs_c=True),
-    TheoremId.T3: CheckSpec(check_theorem3, ("tol", "budget", "c"), _TURAN_HYP),
-    TheoremId.T1_2: CheckSpec(check_stability, _STABILITY, _STABILITY_HYP),
-    TheoremId.T2_2: CheckSpec(check_stability, _STABILITY, _STABILITY_HYP),
-    TheoremId.T3_2: CheckSpec(check_stability, _STABILITY, _STABILITY_HYP),
-    TheoremId.FACT_LENSLMM: CheckSpec(
-        check_fact_lenslmm, ("tol",), ExactHook("conclusion", _lenslmm_mu_bound, False)
-    ),
+    TheoremId.FACT_STT: CheckSpec(check_spectral_turan, ("tol",)),
+    TheoremId.T1: CheckSpec(check_theorem1, ("tol",)),
+    TheoremId.T2: CheckSpec(check_theorem2, ("c", "tol", "budget"), needs_c=True),
+    TheoremId.T3: CheckSpec(check_theorem3, ("tol", "budget", "c")),
+    TheoremId.T1_2: CheckSpec(check_stability, _STABILITY),
+    TheoremId.T2_2: CheckSpec(check_stability, _STABILITY),
+    TheoremId.T3_2: CheckSpec(check_stability, _STABILITY),
+    TheoremId.FACT_LENSLMM: CheckSpec(check_fact_lenslmm, ("tol",)),
     TheoremId.FACT_TSIZE: CheckSpec(check_fact_tsize, (), graph_free=True),
     TheoremId.FACT_LEKD: CheckSpec(check_fact_lekd, ()),
     TheoremId.FACT_THV4: CheckSpec(check_fact_thv4, ("c", "budget"), needs_c=True),
-    TheoremId.EDGE_IMPLIES_SPECTRAL: CheckSpec(
-        check_edge_implies_spectral, ("tol",), ExactHook("conclusion")
-    ),
-    TheoremId.BOOK_REMARK: CheckSpec(check_book_remark, ("tol",), _TURAN_HYP),
+    TheoremId.EDGE_IMPLIES_SPECTRAL: CheckSpec(check_edge_implies_spectral, ("tol",)),
+    TheoremId.BOOK_REMARK: CheckSpec(check_book_remark, ("tol",)),
 }
 
 
@@ -998,9 +1002,9 @@ def run_checks(
 ) -> list[TheoremVerdict]:
     """The verdicts of the checkers of `tids`, in order, on one graph g (the
     order n for tsize).  They run against one `_GraphAnalysis`, so mu, the
-    Turan comparison, k_r, the least K_{r+1} and js_{r+1} are computed at
-    most once for all of them.  c None means each checker's default; t2 and
-    thv4 have none and raise before any checker runs."""
+    Turan comparison and its tie settlement, k_r, the least K_{r+1} and
+    js_{r+1} are computed at most once for all of them.  c None means each
+    checker's default; t2 and thv4 have none and raise before any runs."""
     for tid in tids:
         if CHECKS[tid].needs_c and c is None:
             raise ValueError(f"{tid.label} needs an explicit c")

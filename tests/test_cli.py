@@ -145,11 +145,24 @@ class TestCheck:
         assert code == 0
         assert rec["hypothesis"] == "yes" and rec["conclusion"] == "yes"
 
-    def test_tie_exit_inconclusive(self, tmp_path, capsys):
+    def test_tie_settles_exactly(self, tmp_path, capsys):
+        # mu(T_2(6)) ties itself; the checker settles the tie exactly.
         path = str(tmp_path / "t.el")
         write_edge_list_file(make_turan(6, 2), path)
         code, out, _ = run_cli(capsys, "check", path, "--theorem", "stt", "--r", "2")
-        assert code == 3  # exact tie: certified comparison stays open
+        rec = json.loads(out)
+        assert code == 0
+        assert rec["hypothesis"] == "no"
+        assert rec["detail"]["hypothesis_resolved"] == "exact"
+
+    def test_negative_stability_slack_is_usage_error(self, tmp_path, capsys):
+        path = str(tmp_path / "t.el")
+        write_edge_list_file(make_turan_plus_edge(9, 3), path)
+        code, out, err = run_cli(
+            capsys, "check", path, "--theorem", "t1.2", "--r", "3", "--b", "-0.01"
+        )
+        assert code == 1 and out == ""
+        assert err.strip() == "error: stability slack b must be at least 0, got -0.01"
 
     def test_counterexample_exit_two(self, tmp_path, capsys):
         path = str(tmp_path / "k4.el")

@@ -10,9 +10,6 @@ from specturan import cli, harness, spectral, theorems
 from specturan.graph import graph_from_edge_mask, make_turan
 from specturan.harness import (
     ExperimentConfig,
-    _apply_check_resolved,
-    _apply_checks_resolved,
-    _exact_flag,
     _mask_classes,
     run_exhaustive,
     run_experiment,
@@ -22,6 +19,7 @@ from specturan.harness import (
 )
 from specturan.rng import SplitMix64
 from specturan.spectral import (
+    exact_mu_greater_than_rational,
     interval_flags,
     spectral_radii,
     spectral_radius,
@@ -32,8 +30,10 @@ from specturan.theorems import (
     CHECKS,
     TheoremId,
     TriState,
+    _lenslmm_mu_bound,
     check_fact_lenslmm,
     run_check,
+    run_checks,
     turan_edge_count,
 )
 from oracles import canonical_mask, turan_neighbourhood_hosts
@@ -99,6 +99,7 @@ class TestConfig:
             (("n_min=0", "checks=stt"), "error: family_sweep mode needs n_min >= 1"),
             (("mode=random_hunt", "n_min=0", "checks=stt"),
              "error: random_hunt mode needs n_min >= 1"),
+            (("checks=stt,t2.2", "b=-0.01"), "error: check 't2.2' needs b >= 0, got -0.01"),
         ],
     )
     def test_impossible_check_rejected_before_any_graph(
@@ -411,7 +412,8 @@ class TestExhaustive:
 
 class TestExactResolution:
     """T_3(9) is 6-regular, so mu(G) = mu(T_3(9)) = (1 - 1/3 - 0) * 9 exactly:
-    every spectral flag ties in floating point and the hooks must settle it."""
+    every spectral flag ties in floating point and the checkers must settle
+    it, with the same answer on their own and in an experiment."""
 
     @pytest.mark.parametrize(
         "check, flag",
@@ -429,26 +431,27 @@ class TestExactResolution:
     )
     def test_turan_tie_settles_no(self, check, flag):
         cfg = ExperimentConfig(
-            mode="family_sweep", n_min=9, n_max=9, r=3, checks=(check,), c=0.6, b=0.0
+            mode="family_sweep", n_min=9, n_max=9, r=3, checks=(check,), c=0.6, b=0.0,
+            families=("turan",),
         )
         g = make_turan(9, 3)
-        raw = run_check(TheoremId(check), g, 3, tol=cfg.tol, budget=cfg.budget, c=0.6, b=0.0)
-        assert getattr(raw, flag) is TriState.INCONCLUSIVE
-        v = _apply_check_resolved(cfg, check, g)
+        v = run_check(TheoremId(check), g, 3, tol=cfg.tol, budget=cfg.budget, c=0.6, b=0.0)
         assert getattr(v, flag) is TriState.NO
         assert v.detail[f"{flag}_resolved"] == "exact"
+        [row] = run_family_sweep(cfg).stats["verdicts"]
+        assert row[flag] == "no"
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_lenslmm_exact_agrees_with_float(self, r):
-        hook = CHECKS[TheoremId.FACT_LENSLMM].exact
         decided = 0
         for mask in range(0, 1 << 10, 37):
             g = graph_from_edge_mask(5, mask)
             v = check_fact_lenslmm(g, r)
-            if v.conclusion is TriState.INCONCLUSIVE:
+            if "conclusion_resolved" in v.detail:
                 continue
             decided += 1
-            assert _exact_flag(hook, g, r, 0.0) is v.conclusion, mask
+            greater = exact_mu_greater_than_rational(g, _lenslmm_mu_bound(g, r))
+            assert (TriState.NO if greater else TriState.YES) is v.conclusion, mask
         assert decided >= 25
 
 
@@ -485,7 +488,8 @@ class TestFamilySweep:
             ("turan", "no"),
             ("turan_minus_e", "no"),
         ]
-        v = _apply_checks_resolved(cfg, cfg.checks, make_turan(150, 3))[0]
+        v = run_check(TheoremId.T1_2, make_turan(150, 3), 3, b=0.0)
+        assert v.hypothesis is TriState.NO
         assert v.detail["hypothesis_resolved"] == "exact"
 
     def test_plus_edge_joints_formula(self):
@@ -623,17 +627,12 @@ class TestOneAnalysisPerGraph:
     def test_resolved_together_equals_one_by_one(self, r):
         # Ties on T_r(n) (and, with b = 0, on the stability threshold when
         # r divides n) go through the exact settlement on both sides.
-        cfg = ExperimentConfig(
-            mode="family_sweep", n_min=r + 1, n_max=9, r=r,
-            checks=PER_GRAPH_CHECKS, c=0.6, b=0.0,
-        )
-        assert {TheoremId(c) for c in PER_GRAPH_CHECKS} == {
-            t for t in TheoremId if not CHECKS[t].graph_free
-        }
+        tids = [TheoremId(c) for c in PER_GRAPH_CHECKS]
+        assert set(tids) == {t for t in TheoremId if not CHECKS[t].graph_free}
         settled = 0
         for g in turan_neighbourhood_hosts(r, 101 + r):
-            together = _apply_checks_resolved(cfg, cfg.checks, g)
-            one_by_one = [_apply_check_resolved(cfg, c, g) for c in cfg.checks]
+            together = run_checks(tids, g, r, c=0.6, b=0.0)
+            one_by_one = [run_check(tid, g, r, c=0.6, b=0.0) for tid in tids]
             assert [v.to_json_dict() for v in together] == [
                 v.to_json_dict() for v in one_by_one
             ], g
@@ -642,6 +641,31 @@ class TestOneAnalysisPerGraph:
                 for v in together
             )
         assert settled > 0
+
+    def test_one_settlement_per_graph(self, monkeypatch):
+        # T_3(9) ties mu(T_3(9)), and at b = 0 the stability threshold 6.
+        calls: Counter = Counter()
+        for name in ("compare_mu_exact_multipartite", "exact_mu_greater_than_rational"):
+            fn = getattr(spectral, name)
+
+            def counted(*args, name=name, fn=fn):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(spectral, name, counted)
+        g = make_turan(9, 3)
+        turan = ("stt", "t1", "t2", "t3", "book", "edge-spectral")
+        verdicts = run_checks([TheoremId(c) for c in turan], g, 3, c=0.6)
+        assert calls == {"compare_mu_exact_multipartite": 1}
+        assert all(
+            "hypothesis_resolved" in v.detail or "conclusion_resolved" in v.detail
+            for v in verdicts
+        )
+        calls.clear()
+        stability = (TheoremId.T1_2, TheoremId.T2_2, TheoremId.T3_2)
+        verdicts = run_checks(stability, g, 3, c=0.6, b=0.0)
+        assert calls == {"exact_mu_greater_than_rational": 1}
+        assert all(v.detail["hypothesis_resolved"] == "exact" for v in verdicts)
 
     def test_one_estimate_and_joint_per_graph(self, monkeypatch):
         calls: Counter = Counter()

@@ -28,6 +28,7 @@ from specturan.graph import (
 from specturan.harness import _mask_classes
 from specturan.rng import SplitMix64
 from specturan.spectral import (
+    EXACT_MAX_CLASSES,
     Verdict,
     compare_mu_exact_multipartite,
     compare_mu_to_threshold,
@@ -458,8 +459,10 @@ class TestTsizeChain:
 
 class TestComparisons:
     def test_turan_itself_never_greater(self):
+        # The float interval ties; the exact quotient roots settle it.
         cmp = compare_mu_to_turan(make_turan(6, 2), 2)
-        assert cmp.verdict in (Verdict.NOT_GREATER, Verdict.INCONCLUSIVE)
+        assert cmp.verdict is Verdict.NOT_GREATER
+        assert cmp.exact
 
     def test_plus_edge_certified_greater(self):
         cmp = compare_mu_to_turan(make_turan_plus_edge(6, 2), 2)
@@ -485,9 +488,9 @@ class TestComparisons:
             compare_mu_to_threshold(g, Fraction(1001, 100)).verdict
             is Verdict.NOT_GREATER
         )
-        assert (
-            compare_mu_to_threshold(g, Fraction(10)).verdict is Verdict.INCONCLUSIVE
-        )
+        assert not compare_mu_to_threshold(g, Fraction(999, 100)).exact
+        tie = compare_mu_to_threshold(g, Fraction(10))  # settled exactly: strict
+        assert tie.verdict is Verdict.NOT_GREATER and tie.exact
 
     def test_exact_multipartite_comparison(self):
         g = make_turan(7, 3)
@@ -552,6 +555,42 @@ class TestComparisons:
         assert turan_mu_exact(7, 3) == pytest.approx(1 + math.sqrt(13), abs=1e-10)
         assert turan_mu_exact(0, 2) == 0.0
         assert turan_mu_exact(1, 2) == 0.0
+
+
+def _tied_circulant(n):
+    """The circulant on Z_n, 3 | n, joining i to i +- 1, ..., i +- n/3: it is
+    twin-free and (2n/3)-regular, so its mu = 2n/3 ties mu(T_3(n))."""
+    assert n % 3 == 0
+    return Graph.from_edges(
+        n, [(i, (i + d) % n) for i in range(n) for d in range(1, n // 3 + 1)]
+    )
+
+
+class TestExactCap:
+    """The exact path builds a k x k polynomial, so it serves only hosts
+    with at most EXACT_MAX_CLASSES twin classes."""
+
+    def test_tie_above_cap_stays_inconclusive(self, monkeypatch):
+        def no_sympy(b):
+            raise AssertionError("exact path taken above the cap")
+
+        monkeypatch.setattr(spectral, "_char_poly", no_sympy)
+        n = 3 * (EXACT_MAX_CLASSES // 3 + 1)
+        g = _tied_circulant(n)
+        assert len(g.twin_classes()) == n > EXACT_MAX_CLASSES
+        cmp = compare_mu_to_turan(g, 3)
+        assert cmp.verdict is Verdict.INCONCLUSIVE and not cmp.exact
+        tie = compare_mu_to_threshold(g, Fraction(2 * n, 3))
+        assert tie.verdict is Verdict.INCONCLUSIVE and not tie.exact
+
+    def test_tie_at_cap_settles_no(self):
+        n = 3 * (EXACT_MAX_CLASSES // 3)
+        g = _tied_circulant(n)
+        assert len(g.twin_classes()) == n <= EXACT_MAX_CLASSES
+        cmp = compare_mu_to_turan(g, 3)
+        assert cmp.verdict is Verdict.NOT_GREATER and cmp.exact
+        tie = compare_mu_to_threshold(g, Fraction(2 * n, 3))
+        assert tie.verdict is Verdict.NOT_GREATER and tie.exact
 
 
 def _thresholds(mu):
