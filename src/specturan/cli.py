@@ -6,7 +6,8 @@ stderr.  Exit codes: 0 success / no counterexample, 1 usage or IO error,
 2 counterexample found, 3 inconclusive (a search budget, an unconverged
 estimate, or a spectral tie above the exact path's cap on twin classes).
 
-Numeric flags accept scientific notation.  SPECTURAN_BUDGET and
+Numeric flags accept scientific notation, integer ones (and
+SPECTURAN_BUDGET) only where it names an integer (1e8).  SPECTURAN_BUDGET and
 SPECTURAN_TOL override the built-in defaults; explicit flags win over the
 environment.  The default seed is a fixed constant, not entropy, so runs
 are reproducible by default.
@@ -30,7 +31,7 @@ from .graph import (
     read_edge_list_file,
     write_edge_list,
 )
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, integer, run_experiment
 from .spectral import DEFAULT_TOL, spectral_radius
 from .subgraph import (
     DEFAULT_BUDGET,
@@ -90,7 +91,10 @@ def _env_float(name: str, fallback: float) -> float:
 
 def _env_int(name: str, fallback: int) -> int:
     raw = os.environ.get(name)
-    return int(float(raw)) if raw else fallback
+    try:
+        return integer(raw) if raw else fallback
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _build_parser() -> _Parser:
@@ -103,8 +107,8 @@ def _build_parser() -> _Parser:
     g.add_argument("--n", type=int)
     g.add_argument("--r", type=int)
     g.add_argument("--parts", type=str)
-    g.add_argument("--m", type=lambda s: int(float(s)))
-    g.add_argument("--seed", type=lambda s: int(float(s)), default=DEFAULT_SEED)
+    g.add_argument("--m", type=integer)
+    g.add_argument("--seed", type=integer, default=DEFAULT_SEED)
     g.add_argument("-o", "--output", type=str, default=None)
 
     for name, help_text in [
@@ -119,7 +123,7 @@ def _build_parser() -> _Parser:
             q.add_argument("--r", type=int, required=True)
         else:
             q.add_argument("--tol", type=float, default=None)
-            q.add_argument("--max-iter", type=lambda s: int(float(s)), default=None)
+            q.add_argument("--max-iter", type=integer, default=None)
         if name == "joints":
             q.add_argument("--per-edge", action="store_true")
         q.add_argument("--format", choices=["json", "csv"], default="json")
@@ -128,7 +132,7 @@ def _build_parser() -> _Parser:
     f.add_argument("graph", type=str)
     f.add_argument("--target", choices=["multipartite", "kplus"], required=True)
     f.add_argument("--parts", type=str, required=True)
-    f.add_argument("--budget", type=lambda s: int(float(s)), default=None)
+    f.add_argument("--budget", type=integer, default=None)
     f.add_argument("--format", choices=["json", "csv"], default="json")
 
     c = sub.add_parser("check", help="run a theorem/fact checker")
@@ -140,7 +144,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--c", type=float, default=None)
     c.add_argument("--b", type=float, default=DEFAULT_B)
     c.add_argument("--tol", type=float, default=None)
-    c.add_argument("--budget", type=lambda s: int(float(s)), default=None)
+    c.add_argument("--budget", type=integer, default=None)
     c.add_argument("--format", choices=["json", "csv"], default="json")
 
     e = sub.add_parser("experiment", help="run a harness experiment")

@@ -66,20 +66,22 @@ def _bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _twin_grouping(rows: Sequence[int]) -> tuple[dict[int, int], list[int] | None]:
-    """Twin classes as {row: bitset of the vertices with that row}, in order
-    of least member, and each vertex's class index (None when no two rows
-    are equal).  Each row is hashed once, and member bitsets are set in
-    byte buffers rather than by one n-bit OR per member."""
+def _twin_grouping(rows: Sequence[int]) -> tuple[dict[int, int], int, list[int] | None]:
+    """Twin classes as {least member: bitset of the members}, ascending,
+    the bitset of the least members, and each vertex's class index (None
+    when no two rows are equal).  Each row is hashed once, and member
+    bitsets are set in byte buffers rather than by one n-bit OR per member."""
     n = len(rows)
     index: dict[int, int] = {}
     class_of = [index.setdefault(row, len(index)) for row in rows]
     if len(index) == n:
-        return {row: 1 << v for v, row in enumerate(rows)}, None
+        return {v: 1 << v for v in range(n)}, (1 << n) - 1, None
     members = [bytearray((n + 7) // 8) for _ in index]
     for v, i in enumerate(class_of):
         members[i][v >> 3] |= 1 << (v & 7)
-    return dict(zip(index, (int.from_bytes(m, "little") for m in members))), class_of
+    bitsets = (int.from_bytes(m, "little") for m in members)
+    classes = {(m & -m).bit_length() - 1: m for m in bitsets}
+    return classes, sum(1 << u for u in classes), class_of
 
 
 def _is_symmetric(bits: np.ndarray) -> bool:
@@ -98,19 +100,20 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1, bitset adjacency.
 
     A graph built from rows is validated once, on its twin classes
-    (vertices with identical rows), which it then keeps: `twin_classes`,
+    (vertices with identical rows), which it then keeps by least member:
     the spectral quotient, the joint table and the clique and book
-    searches all read the same grouping.  The structured hosts of the
+    searches all read that one stored form.  The structured hosts of the
     paper have r to r + 2 classes at any n.
     """
 
-    __slots__ = ("n", "_adj", "_twins")
+    __slots__ = ("n", "_adj", "_twins", "_reps")
 
     def __init__(self, n: int, adjacency_rows: Sequence[int] | None = None) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
         self._twins: dict[int, int] | None = None
+        self._reps = 0
         if adjacency_rows is None:
             self._adj = [0] * n
         else:
@@ -120,34 +123,32 @@ class Graph:
             self._check_well_formed()
 
     def _check_well_formed(self) -> None:
-        """Rows in range, no self-loops, A = A^T; caches the twin classes.
+        """Rows in range, no self-loops, A = A^T; stores the twin classes.
 
         Checked once per twin class: range and self-loops on each class
-        row, then symmetry as (a) every class row is constant on every
-        class, a k x n compare, and (b) the k x k matrix C of the classes'
-        least members equals its transpose.  Twins have identical rows, so
-        (a) gives A = P C P^T for the class indicator P, and then A = A^T
-        iff C = C^T; if (a) fails, some row x holds one twin u of a class
-        but not another, w, and A[u][x] = A[w][x] makes A asymmetric.  A
-        twin-free graph has C = A and (a) is vacuous.  Any failure is named
-        by a scan of the whole graph in vertex order, so the message does
-        not depend on the grouping.
+        row, then symmetry by one compare, R == C^T lifted to n columns,
+        for R[i][x] = A[rep_i][x] the k x n class rows, C = R's k x k block
+        on the representatives and rep(x) the least member of x's class.
+        Row x is row rep(x), so it reads A[v][x] = A[x][rep(v)] for all v,
+        x.  Applied twice it makes rows constant on classes (A[x][w] =
+        A[w][rep(x)] = A[rep(x)][rep(w)] = A[x][rep(w)]), so A = A^T; the
+        converse is immediate.  A twin-free graph has R = A.  Any failure
+        is named by a scan of the whole graph in vertex order, so the
+        message does not depend on the grouping.
         """
-        classes, class_of = _twin_grouping(self._adj)
+        self._twins, self._reps, class_of = _twin_grouping(self._adj)
         full = (1 << self.n) - 1
-        if any(row & ~full or row & members for row, members in classes.items()):
+        adj = self._adj
+        if any(adj[u] & ~full or adj[u] & members for u, members in self._twins.items()):
             self._raise_bad_row()
         if class_of is None:
-            bits = self._bit_matrix()
-        else:
-            reps = [(m & -m).bit_length() - 1 for m in classes.values()]
-            bits = self._bit_matrix(reps)
-            if not np.array_equal(bits, bits[:, np.array(reps)[class_of]]):
+            if not _is_symmetric(self._bit_matrix()):
                 self._raise_asymmetric()
-            bits = bits[:, reps]
-        if not _is_symmetric(bits):
-            self._raise_asymmetric()
-        self._twins = classes
+        else:
+            reps = list(self._twins)
+            bits = self._bit_matrix(reps)
+            if not np.array_equal(bits, bits[:, reps].T[:, class_of]):
+                self._raise_asymmetric()
 
     def _raise_bad_row(self) -> None:
         """Name the first out-of-range row or self-loop in vertex order."""
@@ -209,15 +210,23 @@ class Graph:
 
     def twin_classes(self) -> dict[int, int]:
         """Vertices grouped by identical adjacency row, as {row: members
-        bitset}, in order of least member.  Twins are never adjacent (a
-        twin in v's row would put v in its own row), so swapping two of
-        them is an automorphism.
+        bitset}, in order of least member, in a fresh dict.  Twins are
+        never adjacent (a twin in v's row would put v in its own row), so
+        swapping two of them is an automorphism."""
+        return {self._adj[u]: members for u, members in self._twin_members().items()}
 
-        The grouping is computed once per graph (by validation, or by the
-        first call after a builder edit) and returned as a fresh dict."""
+    def _twin_members(self) -> dict[int, int]:
+        """The stored twin classes, {least member: members bitset} in
+        ascending order, grouped by validation or, after a builder edit,
+        by the first read; the dict itself, for reading only."""
         if self._twins is None:
-            self._twins = _twin_grouping(self._adj)[0]
-        return dict(self._twins)
+            self._twins, self._reps, _ = _twin_grouping(self._adj)
+        return self._twins
+
+    def _representatives(self) -> int:
+        """Bitset of the least member of each twin class, stored with them."""
+        self._twin_members()
+        return self._reps
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges (u, v) with u < v in lexicographic order."""

@@ -30,8 +30,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, fields
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -76,6 +78,20 @@ from .theorems import (
 
 EXHAUSTIVE_CHECKS = ("stt", "lenslmm", "edge-spectral", "tsize")
 DEFAULT_FAMILIES = ("turan", "turan_plus_e", "turan_minus_e")
+
+
+def integer(value) -> int:
+    """An integer setting, exactly: a plain integer at any size, or
+    scientific notation naming an integer (`1e8`) within float exponent
+    range.  Anything else (`2.5`, `4/2`, `inf`) raises ValueError."""
+    try:
+        d = Decimal(str(value))
+        if d.is_finite() and d == d.to_integral_value():
+            if d.as_tuple().exponent <= sys.float_info.max_10_exp:
+                return int(d)
+    except InvalidOperation:
+        pass
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +158,7 @@ class ExperimentConfig:
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
         kv = dict(raw)
         if "n" in kv:
-            kv["n_min"] = kv["n_max"] = int(kv.pop("n"))
+            kv["n_min"] = kv["n_max"] = integer(kv.pop("n"))
         if "output" in kv:
             kv["output_path"] = str(kv.pop("output"))
         known = {f.name for f in fields(cls)}
@@ -164,7 +180,10 @@ class ExperimentConfig:
             elif f.name in ("mode", "output_path"):
                 v = str(v)
             else:
-                v = int(float(v))  # int flags accept scientific notation
+                try:
+                    v = integer(v)
+                except ValueError as exc:
+                    raise ValueError(f"{f.name}: {exc}") from None
             typed[f.name] = v
         return cls(**typed)
 

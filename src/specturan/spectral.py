@@ -3,14 +3,15 @@ certified comparisons; no other module estimates or compares mu.
 
 The estimator is power iteration on A + I (the shift defeats the +/-mu
 oscillation of bipartite spectra), run on the twin quotient: with the
-twin classes of sizes s_i and Q the graph of their least members, the
+graph's stored classes, sizes s_i, and Q the graph of their least members, the
 partition is equitable, so mu is the spectral radius of the k x k matrix
 D^{1/2} Q D^{1/2}, D = diag(s) (Brouwer & Haemers, Spectra of Graphs,
 §2.3), and T_r(n)+e, with r + 2 classes at any n, costs k x k steps
-instead of n x n.  On twin-free graphs D = I and the iteration is the
-plain one on A, bit for bit.  A run still unconverged after
-`_SHIFT_STEP` steps goes on from its iterate on A + sI with s = max(1, m/k)
-for m edges on k vertices (`_shift_by_density`).  On bipartite-like hosts
+instead of n x n.  A twin-free graph takes the same path with D = I,
+whose scaling is exact, so its arithmetic is that of the plain iteration
+on A.  A run still unconverged after `_SHIFT_STEP` steps goes on from its
+iterate on A + sI with s = max(1, m/k) for m edges on k vertices
+(`_shift_by_density`).  On bipartite-like hosts
 such as T_2(n)+e the ratio |lambda_min + 1| / (mu + 1) is about 1 - 4/n, so
 A + I alone needs about 2.5n steps; shifted, T_2(n)+e converges in about
 110 steps at any n.  Graphs that converge within the first phase keep the
@@ -124,14 +125,14 @@ class SpectralComparison:
 
 
 def _component_power_iteration(
-    a: np.ndarray, sizes: np.ndarray | None, tol: float, max_iter: int
+    a: np.ndarray, sizes: np.ndarray, tol: float, max_iter: int
 ) -> tuple[float, float, int, bool, np.ndarray]:
     """Power iteration on one component of the twin quotient, on A + I and
     then, if still unconverged, on A + sI.
 
     `a` is the 0/1 class graph Q of the component and `sizes` its class
-    sizes s_i, or None when every class is a single vertex (D = I, Q = A,
-    and the scaling below is the identity, so it is skipped).  `a` is
+    sizes s_i.  When every s_i is 1 (Q = A), multiplying and dividing by
+    sqrt(s_i) = 1 is exact, so the run is the plain one on A.  `a` is
     scaled in place to M = D^{1/2} Q D^{1/2}, D = diag(s), whose spectrum
     holds mu of the component's graph.  A unit iterate z of M lifts to the
     unit vector x_v = z_i / sqrt(s_i) on the vertices v of class i, with
@@ -144,16 +145,12 @@ def _component_power_iteration(
     Rayleigh quotient minus the shift, that residual, and the unit iterate
     z they were taken at.
     """
-    if sizes is None:
-        root, order, two_m = None, a.shape[0], float(a.sum())
-        x = np.full(order, 1.0 / math.sqrt(order))
-    else:
-        two_m = float(sizes @ a @ sizes)
-        order = float(sizes.sum())
-        root = np.sqrt(sizes)
-        a *= root[:, None]
-        a *= root
-        x = root / math.sqrt(order)
+    two_m = float(sizes @ a @ sizes)
+    order = float(sizes.sum())
+    root = np.sqrt(sizes)
+    a *= root[:, None]
+    a *= root
+    x = root / math.sqrt(order)
     rho_prev = math.inf
     shift = 1.0
     rho = 1.0
@@ -167,10 +164,7 @@ def _component_power_iteration(
             rho_prev += raise_by
         y = a @ x + x
         rho = float(x @ y)
-        deviation = np.abs(y - rho * x)
-        if root is not None:
-            deviation /= root
-        res = float(np.max(deviation))
+        res = float(np.max(np.abs(y - rho * x) / root))
         iters += 1
         converged = _converged(rho, rho_prev, res, tol)
         if converged or iters == max_iter:
@@ -181,14 +175,13 @@ def _component_power_iteration(
 
 
 def _twin_quotient(g: Graph) -> tuple[Graph, list[int]]:
-    """(Q, class sizes) of G's twin classes, in order of least member; Q is
+    """(Q, class sizes) of G's stored twin classes, by least member; Q is
     G itself when G is twin-free.  Twins are never adjacent, so Q, the
     graph of the classes' least members, is the 0/1 class graph."""
-    classes = g.twin_classes().values()
+    classes = g._twin_members()
     if len(classes) == g.n:
         return g, [1] * g.n
-    quotient = g.induced_subgraph([(m & -m).bit_length() - 1 for m in classes])
-    return quotient, [m.bit_count() for m in classes]
+    return g.induced_subgraph(list(classes)), [m.bit_count() for m in classes.values()]
 
 
 def spectral_radius(
@@ -209,7 +202,7 @@ def spectral_radius(
     # Q's components are G's, in the same order, except that G's isolated
     # vertices share one singleton class.
     quotient, counts = _twin_quotient(g)
-    sizes = None if quotient is g else np.array(counts, dtype=np.float64)
+    sizes = np.array(counts, dtype=np.float64)
     q_full = quotient.to_numpy()
     best_value = -math.inf
     best_res = 0.0
@@ -220,9 +213,8 @@ def spectral_radius(
             value, res, iters, conv = 0.0, 0.0, 0, True
         else:
             q_sub = q_full if len(comp) == quotient.n else q_full[np.ix_(comp, comp)]
-            comp_sizes = None if sizes is None else sizes[comp]
             value, res, iters, conv, _ = _component_power_iteration(
-                q_sub, comp_sizes, tol, max_iter
+                q_sub, sizes[comp], tol, max_iter
             )
         total_iters += iters
         all_converged = all_converged and conv
@@ -379,11 +371,6 @@ def _turan_reference(n: int, r: int, tol: float) -> float:
     return turan_mu_exact(n, r, tol=min(tol, EXACT_SOLVER_TOL))
 
 
-def _exact_in_reach(g: Graph) -> bool:
-    """Whether G has few enough twin classes for the exact path."""
-    return len(g.twin_classes()) <= EXACT_MAX_CLASSES
-
-
 def _certified(
     g: Graph,
     est: SpectralEstimate,
@@ -401,7 +388,7 @@ def _certified(
     greater, not_greater = interval_flags(value, residual, est.converged, reference, tol)
     if greater or not_greater:
         verdict, exact = Verdict.GREATER if greater else Verdict.NOT_GREATER, False
-    elif _exact_in_reach(g):
+    elif len(g._twin_members()) <= EXACT_MAX_CLASSES:
         verdict, exact = Verdict.GREATER if exact_greater() else Verdict.NOT_GREATER, True
     else:
         verdict, exact = Verdict.INCONCLUSIVE, False

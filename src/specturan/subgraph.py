@@ -17,9 +17,10 @@ form of the Kruskal-Katona theorem, computed once per distinct common
 neighborhood.  For edges (js_4) it is the edge count itself, so the
 memoized exact count serves as the bound.
 
-Those class pairs form one table per host (`_class_pairs`): an entry
-(-|cn|, u, v) for the least members u < v of each adjacent class pair,
-sorted, with cn = row(u) & row(v) recomputed by one AND where needed.
+Those class pairs form one table per host (`_class_pairs`), read off the
+classes the graph stores: an entry (-|cn|, u, v) for the least members
+u < v of each adjacent class pair, sorted, with cn = row(u) & row(v)
+recomputed by one AND where needed.
 `joint_size` scans it and stops at the first entry whose bound C(|cn|, k)
 falls below the best count so far.  `find_kr_plus` tries part-1 edges in
 the same order, by descending |cn| and then lexicographically, and walks
@@ -160,14 +161,6 @@ def count_cliques(g: Graph, r: int) -> CliqueCount:
     return CliqueCount(r, _count_cliques_in(g._adj, full, r))
 
 
-def _representatives(g: Graph) -> int:
-    """Bitset of the least member of each twin class of g."""
-    reps = 0
-    for members in g.twin_classes().values():
-        reps |= members & -members
-    return reps
-
-
 def _greedy_colorable(g: Graph, colors: int) -> bool:
     """Greedy coloring by vertex index; success proves K_{colors+1}-freeness.
 
@@ -181,7 +174,7 @@ def _greedy_colorable(g: Graph, colors: int) -> bool:
         return g.n == 0
     adj = g._adj
     classes = [0] * colors
-    for v in _iter_bits(_representatives(g)):
+    for v in _iter_bits(g._representatives()):
         row = adj[v]
         for c in range(colors):
             if not row & classes[c]:
@@ -234,7 +227,7 @@ def clique_exists(g: Graph, r: int) -> tuple[int, ...] | None:
     if _greedy_colorable(g, r - 1):
         return None
     out: list[int] = []
-    if _clique_rec(g._adj, _representatives(g), r, out):
+    if _clique_rec(g._adj, g._representatives(), r, out):
         return tuple(out)
     return None
 
@@ -253,11 +246,9 @@ def _clique_bound(m_edges: int, k: int) -> int:
 class _ClassPairs:
     """A host's twin-class-pair table: `(-|cn|, u, v)` for the least members
     u < v of every pair of adjacent twin classes, sorted, where cn is the
-    common neighbourhood row(u) & row(v) (not stored).  `classes` maps each
-    least member to its class bitset."""
+    common neighbourhood row(u) & row(v) (not stored)."""
 
     g: Graph
-    classes: dict[int, int]
     table: list[tuple[int, int, int]]
 
 
@@ -265,13 +256,7 @@ def _class_pairs(g: Graph) -> _ClassPairs:
     """The class-pair table of g, which `joint_size` scans and `find_kr_plus`
     walks; either takes it in place of the graph."""
     adj = g._adj
-    classes = {
-        (members & -members).bit_length() - 1: members
-        for members in g.twin_classes().values()
-    }
-    reps = 0
-    for u in classes:
-        reps |= 1 << u
+    reps = g._representatives()
     table = []
     for u in _iter_bits(reps):
         row = adj[u]
@@ -279,7 +264,7 @@ def _class_pairs(g: Graph) -> _ClassPairs:
             v = u + 1 + w
             table.append((-(row & adj[v]).bit_count(), u, v))
     table.sort()
-    return _ClassPairs(g, classes, table)
+    return _ClassPairs(g, table)
 
 
 def _pair_edges(a: int, b: int) -> Iterator[tuple[int, int]]:
@@ -294,7 +279,7 @@ def _pair_edges(a: int, b: int) -> Iterator[tuple[int, int]]:
 def _edge_order(pairs: _ClassPairs) -> Iterator[tuple[int, int]]:
     """Every edge of the host, by descending |cn| and then lexicographically:
     the class pairs of one table key are merged edge by edge."""
-    classes = pairs.classes
+    classes = pairs.g._twin_members()
     for _, entries in itertools.groupby(pairs.table, key=lambda entry: entry[0]):
         same_key = [(classes[u], classes[v], u, v) for _, u, v in entries]
         if all(a == 1 << u and b == 1 << v for a, b, u, v in same_key):
@@ -426,7 +411,7 @@ def book_size(g: Graph, r: int) -> BookReport:
     if r > g.n:
         return BookReport(r, None, 0)
     best: list = [-1, None]
-    _book_rec(g._adj, _representatives(g), (1 << g.n) - 1, r, [], best)
+    _book_rec(g._adj, g._representatives(), (1 << g.n) - 1, r, [], best)
     if best[0] < 0:
         return BookReport(r, None, 0)
     return BookReport(r, best[1], best[0])

@@ -5,9 +5,11 @@ conclusion flags plus a machine-checkable certificate.  Inequality
 conclusions (joint counts against n^{r-1}/r^k bounds, degree thresholds,
 edge counts) are decided in exact rational arithmetic; floating point
 enters only through eigenvalue estimates, which carry certified intervals,
-so a YES is rigorous.  A spectral flag the interval leaves open (T_r(n)
-ties mu(T_r(n))) is settled by the exact quotient root, and the detail says
-so: `hypothesis_resolved` or `conclusion_resolved` = "exact".
+so a YES is rigorous.  Each spectral flag, lenslmm's conclusion included,
+is a certified comparison of `spectral`, against mu(T_r(n)) or a rational
+threshold.  One the interval leaves open (T_r(n) ties mu(T_r(n))) is
+settled there by the exact quotient root, and the detail says so:
+`hypothesis_resolved` or `conclusion_resolved` = "exact".
 
 A verdict with hypothesis YES and conclusion NO is a counterexample
 record: it serializes the full graph so the claim can be re-checked
@@ -41,10 +43,8 @@ from .spectral import (
     SpectralComparison,
     SpectralEstimate,
     Verdict,
-    _exact_in_reach,
     _threshold_comparison,
     _turan_comparison,
-    exact_mu_greater_than_rational,
     spectral_radius,
 )
 from .subgraph import (
@@ -228,8 +228,10 @@ def _round_guarded(rounding: str, x: float, mp_value: Callable) -> int:
 
 def floor_c_log_n(c: float, n: int) -> int:
     """floor(c * ln n), guarded against float boundary error."""
-    if n <= 1 or c <= 0:
-        return 0 if c >= 0 or n <= 1 else -1
+    if n <= 1:
+        return 0
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     return _round_guarded("floor", c * math.log(n), lambda mp: mp.mpf(c) * mp.log(n))
 
 
@@ -494,9 +496,9 @@ def _lenslmm_mu_bound(g: Graph | _GraphAnalysis, r: int) -> Fraction:
 
 
 def check_fact_lenslmm(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVerdict:
-    """k_r(G) >= (mu/n - 1 + 1/r) * r(r-1)/(r+1) * (n/r)^{r+1}, rigorous via
-    the certified interval on mu; a conclusion the interval leaves open is
-    settled by comparing the exact mu with `_lenslmm_mu_bound`."""
+    """k_r(G) >= (mu/n - 1 + 1/r) * r(r-1)/(r+1) * (n/r)^{r+1}: it holds iff
+    mu is not greater than `_lenslmm_mu_bound`, which the certified threshold
+    comparison decides.  `rhs` and `slack` are read at mu + residual."""
     a = _analysis(g)
     if r < 2:
         raise ValueError("r must be at least 2")
@@ -515,35 +517,23 @@ def check_fact_lenslmm(g: Graph, r: int, tol: float = DEFAULT_TOL) -> TheoremVer
             lhs="0",
             rhs="0",
         )
-    est = a.estimate(tol)
-
-    coef = _lenslmm_coef(n, r)
-
-    def rhs_at(mu: Fraction) -> Fraction:
-        return (mu / n - 1 + Fraction(1, r)) * coef
-
+    cmp = a.threshold(_lenslmm_mu_bound(a, r), tol)
+    est = cmp.mu_g
+    conclusion = {Verdict.GREATER: TriState.NO, Verdict.NOT_GREATER: TriState.YES}.get(
+        cmp.verdict, TriState.INCONCLUSIVE
+    )
     detail = {
         "mu_value": est.value,
         "mu_residual": est.residual,
         "mu_converged": est.converged,
     }
-    if not est.converged:
-        conclusion = TriState.INCONCLUSIVE
-        rhs_str = None
-    else:
-        rhs_hi = rhs_at(Fraction(est.value) + Fraction(est.residual))
-        rhs_lo = rhs_at(Fraction(est.value) - Fraction(est.residual))
-        if Fraction(kr) >= rhs_hi:
-            conclusion = TriState.YES
-        elif Fraction(kr) < rhs_lo:
-            conclusion = TriState.NO
-        else:
-            conclusion = TriState.INCONCLUSIVE
+    rhs_str = None
+    if est.converged:
+        mu_hi = Fraction(est.value) + Fraction(est.residual)
+        rhs_hi = (mu_hi / n - 1 + Fraction(1, r)) * _lenslmm_coef(n, r)
         rhs_str = str(rhs_hi)
         detail["slack"] = float(Fraction(kr) - rhs_hi)
-    if conclusion is TriState.INCONCLUSIVE and _exact_in_reach(g):
-        greater = exact_mu_greater_than_rational(g, _lenslmm_mu_bound(a, r))
-        conclusion = TriState.NO if greater else TriState.YES
+    if cmp.exact:
         detail["conclusion_resolved"] = "exact"
     v = TheoremVerdict(
         TheoremId.FACT_LENSLMM,

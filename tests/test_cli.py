@@ -9,7 +9,9 @@ from specturan.cli import main
 from specturan.graph import (
     make_turan,
     make_turan_plus_edge,
+    random_gnm,
     read_edge_list,
+    write_edge_list,
     write_edge_list_file,
 )
 from specturan.theorems import CHECKS, TheoremId, run_check
@@ -257,6 +259,81 @@ class TestEnvOverrides:
             capsys, "find", path, "--target", "multipartite", "--parts", "3,3,3,3,3"
         )
         assert code == 3  # env budget of 3 exhausts
+
+
+class TestNonFiniteC:
+    @pytest.mark.parametrize("c", ["-inf", "inf", "nan"])
+    def test_usage_error(self, c, tmp_path, capsys):
+        path = str(tmp_path / "t.el")
+        write_edge_list_file(make_turan_plus_edge(30, 3), path)
+        code, out, err = run_cli(capsys, "check", path, "--theorem", "t3", "--r", "3", f"--c={c}")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: c must be finite, got {c}"]
+
+
+class TestIntegerFlags:
+    """Integer flags, SPECTURAN_BUDGET and experiment settings are read
+    exactly: plain integers at any size, scientific notation only where it
+    names an integer, and anything else is a usage error."""
+
+    BIG = "9007199254740993"  # 2^53 + 1, which a float rounds to 2^53
+
+    @staticmethod
+    def _usage_error(code, out, err):
+        assert code == 1 and out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            err.splitlines()[0]
+        ]
+
+    def test_gen_seed_and_m(self, capsys):
+        def gnm(*flags):
+            code, out, _ = run_cli(capsys, "gen", "--family", "gnm", "--n", "6", *flags)
+            assert code == 0
+            return out
+
+        near = gnm("--m", "5", "--seed", "18446744073709551557")
+        assert near == write_edge_list(random_gnm(6, 5, 18446744073709551557))
+        assert near != gnm("--m", "5", "--seed", "18446744073709551616")
+        assert gnm("--m", "1e1", "--seed", "1.5e3") == gnm("--m", "10", "--seed", "1500")
+
+    @pytest.mark.parametrize("value", ["2.5", "4/2", "inf", "1e-1", "x"])
+    def test_fractional_flags_are_usage_errors(self, value, tmp_path, capsys):
+        path = str(tmp_path / "t.el")
+        write_edge_list_file(make_turan(6, 2), path)
+        for argv in (
+            ("gen", "--family", "gnm", "--n", "6", "--m", value),
+            ("gen", "--family", "gnm", "--n", "6", "--m", "5", "--seed", value),
+            ("mu", path, "--max-iter", value),
+            ("find", path, "--target", "kplus", "--parts", "2,2", "--budget", value),
+            ("check", path, "--theorem", "stt", "--r", "2", "--budget", value),
+            ("experiment", "--set", "mode=exhaustive", "--set", "n=3",
+             "--set", "checks=tsize", "--set", f"seed={value}"),
+        ):
+            self._usage_error(*run_cli(capsys, *argv))
+
+    def test_budget_env(self, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "t.el")
+        write_edge_list_file(make_turan(40, 4), path)
+        find = ("find", path, "--target", "multipartite", "--parts", "3,3,3,3,3")
+        monkeypatch.setenv("SPECTURAN_BUDGET", "3e0")
+        assert run_cli(capsys, *find)[0] == 3
+        for value in ("2.5", "inf"):
+            monkeypatch.setenv("SPECTURAN_BUDGET", value)
+            code, out, err = run_cli(capsys, *find)
+            self._usage_error(code, out, err)
+            assert "SPECTURAN_BUDGET" in err
+
+    def test_report_echoes_exact_seed(self, tmp_path, capsys):
+        base = ("--set", "mode=random_hunt", "--set", "n=6", "--set", "trials=1e0",
+                "--set", "checks=stt")
+        code, out, _ = run_cli(capsys, "experiment", *base, "--set", f"seed={self.BIG}")
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == int(self.BIG)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"mode = random_hunt\nn = 6\ntrials = 1\nseed = {self.BIG}\n")
+        code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == int(self.BIG)
 
 
 class TestExperimentCommand:

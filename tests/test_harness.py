@@ -81,6 +81,15 @@ class TestConfig:
         )
         assert cfg.budget == 10**6 and cfg.trials == 100
 
+    def test_int_settings_are_exact(self):
+        cfg = ExperimentConfig.from_mapping(
+            {"mode": "random_hunt", "n": 10, "seed": "9007199254740993", "trials": 3.0}
+        )
+        assert cfg.seed == 2**53 + 1 and cfg.trials == 3
+        for value in ("2.5", "4/2", "inf", 2.5):
+            with pytest.raises(ValueError, match="^seed: expected an integer"):
+                ExperimentConfig.from_mapping({"mode": "random_hunt", "n": 10, "seed": value})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_mapping({"mode": "exhaustive", "n": 4, "bogus": 1})

@@ -15,12 +15,14 @@ from oracles import (
 from specturan.graph import (
     Graph,
     complete_graph,
+    graph_from_edge_mask,
     make_turan,
     make_turan_plus_edge,
     random_gnm,
     read_edge_list,
 )
 from specturan.rng import SplitMix64
+from specturan.spectral import Verdict, compare_mu_to_threshold
 from specturan.theorems import (
     CHECKS,
     TheoremId,
@@ -28,6 +30,7 @@ from specturan.theorems import (
     TriState,
     _conflict_peel_order,
     _degree_peel_order,
+    _lenslmm_mu_bound,
     _verify_coloring,
     ceil_n_power,
     check_book_remark,
@@ -171,6 +174,31 @@ class TestFactLenslmm:
     def test_empty_order_zero(self):
         v = check_fact_lenslmm(Graph(0), 2)
         assert v.conclusion is TriState.YES
+
+    @staticmethod
+    def _hosts():
+        """The n = 5 masks of the exact-agreement sweep, then T_s(n) and
+        T_s(n) +/- e for s = 2..4; T_3(24) meets its r = 2 bound exactly."""
+        for mask in range(0, 1 << 10, 37):
+            yield graph_from_edge_mask(5, mask)
+        for s in (2, 3, 4):
+            for n in range(s + 1, 29):
+                t = make_turan(n, s)
+                yield from (t, t.without_edge(*next(t.edges())), make_turan_plus_edge(n, s))
+
+    def test_conclusion_is_the_threshold_comparison(self):
+        # The bound holds iff mu <= _lenslmm_mu_bound: GREATER is a NO,
+        # NOT_GREATER a YES, and an exact settlement is reported as one.
+        conclusion = {Verdict.GREATER: TriState.NO, Verdict.NOT_GREATER: TriState.YES}
+        exact = 0
+        for g in self._hosts():
+            for r in (2, 3, 4):
+                v = check_fact_lenslmm(g, r)
+                cmp = compare_mu_to_threshold(g, _lenslmm_mu_bound(g, r))
+                assert v.conclusion is conclusion[cmp.verdict], (g._adj, r)
+                assert ("conclusion_resolved" in v.detail) == cmp.exact, (g._adj, r)
+                exact += cmp.exact
+        assert exact >= 1
 
 
 class TestFactTsize:
@@ -414,11 +442,34 @@ class TestGuardedRounding:
     def test_floor_guard_consistency(self):
         import mpmath
 
-        c = 3.0 / math.log(8)
-        got = floor_c_log_n(c, 8)
-        with mpmath.workdps(60):
-            want = int(mpmath.floor(mpmath.mpf(c) * mpmath.log(8)))
-        assert got == want
+        for c in (3.0 / math.log(8), -3.0 / math.log(8)):
+            got = floor_c_log_n(c, 8)
+            with mpmath.workdps(60):
+                want = int(mpmath.floor(mpmath.mpf(c) * mpmath.log(8)))
+            assert got == want
+
+    def test_floor_negative_c(self):
+        assert floor_c_log_n(-1.0, 100) == -5  # -ln 100 = -4.605
+        assert floor_c_log_n(-0.5, 8) == -2  # -ln 8 / 2 = -1.040
+        assert floor_c_log_n(-1e-12, 60) == -1
+        assert floor_c_log_n(-1.0, 1) == 0
+        assert floor_c_log_n(-1.0, 0) == 0
+        for c in (-math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError, match="c must be finite"):
+                floor_c_log_n(c, 100)
+
+    def test_negative_c_reports_its_floor_and_stays_vacuous(self):
+        g = make_turan_plus_edge(100, 3)
+        for v in (
+            check_theorem2(g, 3, -1.0),
+            check_theorem3(g, 3, c_override=-1.0),
+            check_fact_thv4(g, 3, -1.0),
+            check_stability(g, 3, 0.0, TheoremId.T2_2, c=-1.0),
+            check_stability(g, 3, 0.0, TheoremId.T3_2, c=-1.0),
+        ):
+            assert v.vacuous and v.conclusion is TriState.YES, v.theorem_id
+            if v.theorem_id in (TheoremId.T2, TheoremId.T3, TheoremId.FACT_THV4):
+                assert v.detail["floor_c_ln_n"] == -5, v.theorem_id
 
 
 class TestTuranEdgeCount:

@@ -16,7 +16,9 @@ from oracles import (
 )
 from specturan.graph import (
     Graph,
+    complete_graph,
     graph_from_edge_mask,
+    make_complete_multipartite,
     make_kr_plus,
     make_turan,
     make_turan_plus_edge,
@@ -144,31 +146,59 @@ class TestSearchesOnRepresentatives:
             assert (rep.size, rep.base_clique) == reference_book_size(g, r)
 
 
+def _assert_stored_form(g: Graph) -> None:
+    """The graph's stored classes, {least member: members} in ascending
+    order, and its representatives' bitset, against a fresh regrouping."""
+    reference = reference_twin_classes(g).values()
+    least = {(m & -m).bit_length() - 1: m for m in reference}
+    assert list(g._twin_members().items()) == sorted(least.items())
+    assert g._representatives() == sum(1 << u for u in least)
+    assert g.twin_classes() == reference_twin_classes(g)
+
+
 class TestTwinCache:
-    """twin_classes() must equal a fresh grouping of the rows after every
-    builder and after every builder-phase edit."""
+    """The stored twin classes must equal a fresh grouping of the rows
+    after every builder and after every builder-phase edit."""
 
     BUILDERS = {
+        "Graph(n)": lambda: Graph(5),
+        "Graph(n, rows)": lambda: Graph(5, [0b00110, 0b11001, 0b11001, 0b00110, 0b00110]),
         "from_edges": lambda: Graph.from_edges(6, [(0, 2), (1, 2), (3, 4), (0, 5)]),
         "read_edge_list": lambda: read_edge_list(write_edge_list(make_turan(9, 3))),
         "graph_from_edge_mask": lambda: graph_from_edge_mask(5, 0b1011000110),
+        "make_turan": lambda: make_turan(10, 4),
+        "make_complete_multipartite": lambda: make_complete_multipartite((1, 3, 2)),
         "make_kr_plus": lambda: make_kr_plus((3, 2, 2)),
         "make_turan_plus_edge": lambda: make_turan_plus_edge(11, 3),
+        "complete_graph": lambda: complete_graph(4),
+        "random_gnm": lambda: random_gnm(12, 20, 7),
+        "induced_subgraph": lambda: make_turan_plus_edge(12, 3).induced_subgraph([5, 0, 9, 1, 4]),
     }
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_builder_then_add_edge(self, name):
         g = self.BUILDERS[name]()
-        assert g.twin_classes() == reference_twin_classes(g)
-        missing = next((u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v))
-        g._add_edge(*missing)
-        assert g.twin_classes() == reference_twin_classes(g)
+        _assert_stored_form(g)
+        missing = next(
+            ((u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)),
+            None,
+        )
+        if missing is not None:
+            g._add_edge(*missing)
+            _assert_stored_form(g)
+
+    def test_every_edit_of_a_mask_graph(self):
+        # Each edge added to a stored grouping drops it, so the next read
+        # regroups rather than returning the grouping of the previous rows.
+        g = Graph(6)
+        for u, v in [(0, 1), (2, 3), (0, 2), (1, 3), (4, 5), (0, 4)]:
+            _assert_stored_form(g)
+            g._add_edge(u, v)
+        _assert_stored_form(g)
 
     def test_edits_return_fresh_classes(self):
         g = make_turan(8, 2)
-        assert g.with_edge(0, 1).twin_classes() == reference_twin_classes(g.with_edge(0, 1))
-        assert g.without_edge(0, 4).twin_classes() == reference_twin_classes(
-            g.without_edge(0, 4)
-        )
+        _assert_stored_form(g.with_edge(0, 1))
+        _assert_stored_form(g.without_edge(0, 4))
         g.twin_classes()[0] = 1  # a caller's dict is its own
-        assert g.twin_classes() == reference_twin_classes(g)
+        _assert_stored_form(g)
