@@ -32,7 +32,7 @@ from .graph import (
     write_edge_list,
 )
 from .harness import ExperimentConfig, integer, run_experiment
-from .spectral import DEFAULT_TOL, spectral_radius
+from .spectral import DEFAULT_TOL, _checked_tol, spectral_radius
 from .subgraph import (
     DEFAULT_BUDGET,
     SearchStatus,
@@ -84,9 +84,16 @@ def _parse_parts(text: str) -> PartSpec:
     return PartSpec(sizes)
 
 
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    return float(raw) if raw else fallback
+def _tol(flag: float | None) -> float:
+    """--tol, else SPECTURAN_TOL, else the default; positive and finite."""
+    if flag is not None:
+        return _checked_tol(flag)
+    raw = os.environ.get("SPECTURAN_TOL")
+    tol = float(raw) if raw else DEFAULT_TOL
+    try:
+        return _checked_tol(tol)
+    except ValueError as exc:
+        raise ValueError(f"SPECTURAN_TOL: {exc}") from None
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -197,7 +204,7 @@ def _load(path: str) -> Graph:
 
 
 def _cmd_mu(args) -> int:
-    tol = args.tol if args.tol is not None else _env_float("SPECTURAN_TOL", DEFAULT_TOL)
+    tol = _tol(args.tol)
     est = spectral_radius(_load(args.graph), tol=tol, max_iter=args.max_iter)
     _emit(
         {
@@ -264,7 +271,7 @@ def _cmd_find(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    tol = args.tol if args.tol is not None else _env_float("SPECTURAN_TOL", DEFAULT_TOL)
+    tol = _tol(args.tol)
     budget = args.budget if args.budget is not None else _env_int(
         "SPECTURAN_BUDGET", DEFAULT_BUDGET
     )
@@ -303,7 +310,8 @@ def _cmd_experiment(args) -> int:
     if not raw:
         raise _UsageError("experiment needs --config or --set options")
     raw.setdefault("budget", _env_int("SPECTURAN_BUDGET", DEFAULT_BUDGET))
-    raw.setdefault("tol", _env_float("SPECTURAN_TOL", DEFAULT_TOL))
+    if "tol" not in raw:
+        raw["tol"] = _tol(None)
     cfg = ExperimentConfig.from_mapping(raw)
     report = run_experiment(cfg)
     sys.stdout.write(report.to_json_text())

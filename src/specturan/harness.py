@@ -8,17 +8,19 @@ sidecar `<output>.meta.json`, never into the report.
 The exhaustive mode enumerates every labeled graph of order n <= 8 by
 edge-mask integer.  Every quantity its checks use is an isomorphism
 invariant, so a full scan first partitions the masks into isomorphism
-classes by orbit marking (2^21 masks, 1044 classes at n = 7) and
-evaluates each class once on its smallest mask, decoded into a Graph:
-`spectral.spectral_radii` and `spectral.interval_flags` estimate and
-compare mu for the spectral hypothesis, and the library's exact counters
-`count_cliques` and `joint_size` give clique and joint counts.  Verdicts
-reach every mask of a class through its class id: counts are weighted by
-class size, and the tie log and counterexample records still hold one
-entry per labeled mask.  A sampled scan treats each sampled mask as its
-own class.  Spectral comparisons the interval leaves open are settled
-exactly by algebraic root comparison, once per class, so every instance
-ends with a definite verdict and the tie log stays auditable.
+classes by orbit marking in a visited array of one byte per mask (2^21
+masks, 1044 classes at n = 7) and evaluates each class once on its
+smallest mask, decoded into a Graph: `spectral.spectral_radii` and
+`spectral.interval_flags` estimate and compare mu for the spectral
+hypothesis, and the library's exact counters `count_cliques` and
+`joint_size` give clique and joint counts.  Counts are weighted by orbit
+size, and the tie log and counterexample records still hold one entry
+per labeled mask: their classes' orbits are regenerated and sorted.  No
+other array has an entry per mask.  A sampled scan treats each sampled
+mask as its own class.  Spectral comparisons the interval leaves open are
+settled exactly, by Sturm counts on the integer quotient polynomial, once
+per class, so every instance ends with a definite verdict and the tie log
+stays auditable.
 
 The family sweep and the random hunt record what one `theorems.run_checks`
 call returns per graph: mu, the Turan reference, its exact tie settlement
@@ -52,6 +54,7 @@ from .graph import (
 from .rng import SplitMix64
 from .spectral import (
     Verdict,
+    _checked_tol,
     compare_mu_exact_multipartite,
     compare_mu_to_threshold,
     interval_flags,
@@ -121,6 +124,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_min > self.n_max:
             raise ValueError("empty n range")
+        _checked_tol(self.tol)
         if self.mode != "tightness" and self.n_min < 1:
             raise ValueError(f"{self.mode} mode needs n_min >= 1")
         if self.mode == "exhaustive" and self.n_max > MAX_EXHAUSTIVE_N:
@@ -239,68 +243,106 @@ def _permuted_pair_bits(n: int) -> np.ndarray:
     """(n!, C(n, 2)) uint32 table: row p holds, for each pair bit i, the
     single-bit mask of the pair that vertex permutation p sends pair i to."""
     pairs = np.column_stack(np.triu_indices(n, 1))  # lexicographic pair order
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    perms = perms.reshape(math.factorial(n), n)
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        dtype=np.uint8,
+        count=math.factorial(n) * n,
+    ).reshape(math.factorial(n), n)
     a, b = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo, hi = np.minimum(a, b).astype(np.uint32), np.maximum(a, b).astype(np.uint32)
     rank = lo * n - lo * (lo + 1) // 2 + (hi - lo - 1)  # lexicographic pair index
-    return (np.uint32(1) << rank.astype(np.uint32)).astype(np.uint32)
+    return np.uint32(1) << rank
 
 
-def _mask_classes(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Isomorphism-class partition of a scan's masks: (reps, class_of).
+def _orbit(table: np.ndarray, mask: int) -> np.ndarray:
+    """The images of `mask` under every permutation of `table`, one per
+    row (a mask fixed by several permutations repeats)."""
+    bits = [i for i in range(table.shape[1]) if (mask >> i) & 1]
+    # A permutation sends distinct pairs to distinct pairs, so the sum of
+    # the images' single-bit masks is their OR.
+    return table[:, bits].sum(axis=1, dtype=np.uint32)
 
-    `reps[class_of[i]]` is the class representative of `masks[i]`.  When
-    `masks` is every mask of order n in increasing order, classes are
-    orbits under vertex relabelling, found by orbit marking: the smallest
-    unassigned mask opens a class and all n! of its images join it, so
-    each representative is the smallest mask of its class and the classes
-    come out in increasing representative order.  A sample (fewer masks
-    than the order has) gets the identity partition, one class per mask.
+
+def _mask_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Isomorphism classes of the masks of order n: (reps, size), the
+    least mask of each class in increasing order and its orbit size.
+
+    Orbit marking over a visited array of one byte per mask: the smallest
+    unvisited mask opens a class, and its n! images are marked.  Its orbit
+    size is n!/|Aut|, the number of permutations over the number that fix
+    it.  Complementing every mask maps orbits to orbits, so the class of
+    ~m is marked with it, and its least mask is the complement of the
+    largest image; a self-complementary class has itself as complement.
     """
-    total = int(masks.shape[0])
-    if total != 1 << (n * (n - 1) // 2):
-        return masks, np.arange(total)
+    total = 1 << (n * (n - 1) // 2)
+    full = np.uint32(total - 1)
     table = _permuted_pair_bits(n)
-    class_of = np.full(total, -1, dtype=np.int32)
+    visited = np.zeros(total, dtype=np.uint8)
     reps: list[int] = []
+    sizes: list[int] = []
     pos, window = 0, 4096
     while pos < total:
-        free = np.flatnonzero(class_of[pos : pos + window] < 0)
+        free = np.flatnonzero(visited[pos : pos + window] == 0)
         if free.size == 0:
             pos += window
             continue
         rep = pos + int(free[0])
-        bits = [i for i in range(table.shape[1]) if (rep >> i) & 1]
-        # A permutation sends distinct pairs to distinct pairs, so the sum
-        # of the images' single-bit masks is their OR.
-        images = table[:, bits].sum(axis=1, dtype=np.uint32)
-        class_of[images] = len(reps)
+        images = _orbit(table, rep)
+        visited[images] = 1
+        size = table.shape[0] // int(np.count_nonzero(images == rep))
         reps.append(rep)
+        sizes.append(size)
+        complement = int(full ^ images.max())
+        if complement != rep:
+            visited[full ^ images] = 1
+            reps.append(complement)
+            sizes.append(size)
         pos = rep + 1
-    return np.array(reps, dtype=masks.dtype), class_of
+    order = np.argsort(reps)
+    return np.array(reps, dtype=np.uint32)[order], np.array(sizes, dtype=np.int64)[order]
+
+
+def _orbit_members(
+    n: int, reps: np.ndarray, classes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, class) of every mask in the given classes, by increasing
+    mask, from regenerated orbits."""
+    if classes.size == 0:
+        return np.zeros(0, dtype=np.uint32), np.zeros(0, dtype=np.int64)
+    table = _permuted_pair_bits(n)
+    orbits = [np.unique(_orbit(table, int(reps[c]))) for c in classes]
+    masks = np.concatenate(orbits)
+    owner = np.repeat(classes, [o.size for o in orbits])
+    order = np.argsort(masks)
+    return masks[order], owner[order]
 
 
 def _scan_order(
     n: int,
     r: int,
-    masks: np.ndarray,
+    sample: np.ndarray | None,
     tol: float,
     checks: Sequence[str],
     collect_stats: bool,
 ) -> dict:
-    """Evaluate the exhaustive-mode checks on every mask of one order.
+    """Evaluate the exhaustive-mode checks on every mask of one order, or
+    on the sorted `sample` of masks.
 
-    Every array below is indexed by isomorphism class, not by mask: each
-    representative is decoded into a Graph once, and the estimator and the
-    clique and joint counters run on that Graph.  Only index sets
-    (tie log, counterexamples, the lenslmm boundary) are expanded to the
-    masks of their classes, in mask order, and counts are weighted by the
-    number of masks in each class.
+    Every array below is indexed by isomorphism class, not by mask, and
+    no array has one entry per mask: a full scan holds the class
+    representatives and orbit sizes of `_mask_classes`, and a sample is
+    its own list of classes, one per sampled mask.  Each representative is
+    decoded into a Graph once, and the estimator and the clique and joint
+    counters run on that Graph.  Counts are weighted by the number of
+    masks in each class.  Only index sets (tie log, counterexamples, the
+    lenslmm boundary) are expanded to the masks of their classes, in mask
+    order, by regenerating the orbits of the flagged classes.
     """
-    total = int(masks.shape[0])
-    reps, class_of = _mask_classes(n, masks)
-    size = np.bincount(class_of, minlength=reps.shape[0])  # masks per class
+    if sample is None:
+        reps, size = _mask_classes(n)
+    else:
+        reps, size = sample, np.ones(sample.shape[0], dtype=np.int64)
+    total = int(size.sum())
     graphs = [graph_from_edge_mask(n, int(m)) for m in reps]
     e_arr = np.bitwise_count(reps).astype(np.int64)
     k = {
@@ -308,11 +350,12 @@ def _scan_order(
         for q in range(2, min(n, r + 1) + 1)
     }
 
-    def masks_where(flags: np.ndarray) -> np.ndarray:
-        """Indices of the masks whose class is flagged, increasing."""
-        if not flags.any():  # skips a gather over every mask
-            return np.zeros(0, dtype=np.int64)
-        return np.nonzero(flags[class_of])[0]
+    def masks_where(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(masks, class) of the masks whose class is flagged, by mask."""
+        classes = np.flatnonzero(flags)
+        if sample is not None:
+            return sample[classes], classes
+        return _orbit_members(n, reps, classes)
 
     def mask_histogram(arr: np.ndarray) -> list[int]:
         return np.bincount(arr, weights=size).astype(np.int64).tolist()
@@ -334,24 +377,24 @@ def _scan_order(
         for c in np.nonzero(is_open)[0]:
             exact = compare_mu_exact_multipartite(graphs[c], parts)
             greater[c] = exact is Verdict.GREATER
-        for i in masks_where(is_open):
-            tie = Verdict.GREATER if greater[class_of[i]] else Verdict.NOT_GREATER
+        for mask, c in zip(*masks_where(is_open)):
+            tie = Verdict.GREATER if greater[c] else Verdict.NOT_GREATER
             out["inconclusive_log"].append(
                 {
                     "n": n,
                     "r": r,
-                    "mask": int(masks[i]),
+                    "mask": int(mask),
                     "stage": "exact",
                     "resolution": tie.value,
                 }
             )
 
-    def record_counterexamples(check: str, idx: np.ndarray) -> None:
-        for i in idx:
-            g = graph_from_edge_mask(n, int(masks[i]))
+    def record_counterexamples(check: str, masks: Sequence[int]) -> None:
+        for mask in masks:
+            g = graph_from_edge_mask(n, int(mask))
             verdict = run_check(TheoremId(check), g, r, tol=tol)
             payload = verdict.to_json_dict()
-            payload["mask"] = int(masks[i])
+            payload["mask"] = int(mask)
             if payload["graph"] is None:
                 payload["graph"] = write_edge_list(g)
             out["counterexamples"].append(payload)
@@ -362,7 +405,7 @@ def _scan_order(
         out["instances"] += total
         if check == "stt":
             concl_no = k.get(r + 1, zeros) == 0
-            record_counterexamples(check, masks_where(greater & concl_no))
+            record_counterexamples(check, masks_where(greater & concl_no)[0])
             if collect_stats:
                 out["stats"]["stt"] = {
                     "hypothesis_yes": int(size[greater].sum()),
@@ -372,7 +415,7 @@ def _scan_order(
                 }
         elif check == "edge-spectral":
             hyp = e_arr > turan_edge_count(n, r)
-            record_counterexamples(check, masks_where(hyp & ~greater))
+            record_counterexamples(check, masks_where(hyp & ~greater)[0])
             if collect_stats:
                 out["stats"]["edge-spectral"] = {
                     "hypothesis_yes": int(size[hyp].sum()),
@@ -386,25 +429,25 @@ def _scan_order(
             lhs = k.get(r, zeros).astype(np.float64)
             margin = 1e-6 * np.maximum(1.0, np.abs(rhs_hi))
             clear_yes = lhs >= rhs_hi + margin
-            boundary = masks_where(~clear_yes)
-            cx_idx: list[int] = []
-            for i in boundary:
-                g = graph_from_edge_mask(n, int(masks[i]))
+            boundary, _ = masks_where(~clear_yes)
+            cx_masks: list[int] = []
+            for mask in boundary:
+                g = graph_from_edge_mask(n, int(mask))
                 v = run_check(TheoremId.FACT_LENSLMM, g, r, tol=tol)
                 if "conclusion_resolved" in v.detail:
                     out["inconclusive_log"].append(
                         {
                             "n": n,
                             "r": r,
-                            "mask": int(masks[i]),
+                            "mask": int(mask),
                             "stage": "exact",
                             "check": "lenslmm",
                             "resolution": v.conclusion.value,
                         }
                     )
                 if v.conclusion is TriState.NO:
-                    cx_idx.append(int(i))
-            record_counterexamples(check, np.array(cx_idx, dtype=np.int64))
+                    cx_masks.append(int(mask))
+            record_counterexamples(check, cx_masks)
             if collect_stats:
                 nontrivial = rhs_hi > 0
                 out["stats"]["lenslmm"] = {
@@ -440,21 +483,20 @@ def run_exhaustive(cfg: ExperimentConfig) -> ExperimentReport:
     instances = 0
     for n in range(cfg.n_min, cfg.n_max + 1):
         total = 1 << (n * (n - 1) // 2)
+        sample = None
         if cfg.sample_cap and cfg.sample_cap < total:
             rng = SplitMix64(cfg.seed)
-            masks = np.array(
+            sample = np.array(
                 sorted(rng.below(total) for _ in range(cfg.sample_cap)),
                 dtype=np.uint32,
             )
-        else:
-            masks = np.arange(total, dtype=np.uint32)
         res = _scan_order(
-            n, cfg.r, masks, cfg.tol, cfg.checks, collect_stats=bool(cfg.stats)
+            n, cfg.r, sample, cfg.tol, cfg.checks, collect_stats=bool(cfg.stats)
         )
         counterexamples.extend(res["counterexamples"])
         log.extend(res["inconclusive_log"])
         stats[f"n={n}"] = res["stats"]
-        stats[f"n={n}"]["graphs"] = int(masks.shape[0])
+        stats[f"n={n}"]["graphs"] = total if sample is None else int(sample.shape[0])
         instances += res["instances"]
         if "tsize" in cfg.checks:
             v = run_check(TheoremId.FACT_TSIZE, n, cfg.r)

@@ -32,11 +32,15 @@ as G = T_r(n) itself, or an unconverged estimate) is settled exactly on the
 same twin quotient: with integer B[i][j] = |row(class i) ∩ class j| =
 s_j Q[i][j], the equitable partition makes mu(G) the largest real root of
 B's characteristic polynomial (Godsil & Royle, Algebraic Graph Theory,
-§9.3), which sympy isolates as an algebraic number.  K(s_1, ..., s_r) is
-the case B[i][j] = s_j for i != j, so `_largest_root` serves both sides of
-every exact comparison of two mu values; against a rational, the roots
-above it are counted instead, by Sturm's theorem.  The polynomial is
-k x k for k twin classes, so the exact path serves only k <=
+§9.3).  The exact path is integer arithmetic only: `_char_poly` gives
+that polynomial's integer coefficients, and Sturm chains of primitive
+integer pseudo-remainders (Knuth, TAOCP vol. 2, §4.6.1) count its
+distinct real roots above a rational, by Sturm's theorem.
+Against a rational t, mu(G) > t iff the square-free part has a root in
+(t, oo).  Against mu(K(s_1, ..., s_r)), the quotient with B[i][j] = s_j
+for i != j, the root of K is bracketed in rationals and compared without
+isolating either root (`compare_mu_exact_multipartite`).  The polynomial
+is k x k for k twin classes, so the exact path serves only k <=
 `EXACT_MAX_CLASSES`; above it an open interval stays INCONCLUSIVE.
 """
 
@@ -57,9 +61,18 @@ DEFAULT_TOL = 1e-10
 EXACT_SOLVER_TOL = 1e-12
 _BATCH_CHUNK = 1 << 16  # graphs per batched power-iteration pass
 _SHIFT_STEP = 100  # power-iteration steps on A + I before a slow run is shifted
-# Most twin classes the exact path serves: its k x k polynomial takes 0.3 s
-# at k = 32, 37 s at k = 60 (random twin-free G(n, m), 2-vCPU VM).
+# Most twin classes the exact path serves: one exact decision takes about
+# 0.08 s at k = 32 and 0.22 s at k = 40 (random twin-free G(n, m), 2-vCPU
+# VM), nearly all of it the k x k characteristic polynomial.
 EXACT_MAX_CLASSES = 32
+
+
+def _checked_tol(tol: float) -> float:
+    """tol itself when it is positive and finite; a ValueError otherwise
+    (an infinite or NaN tol would pass every stopping test or none)."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    return tol
 
 
 def default_max_iter(n: int) -> int:
@@ -193,8 +206,7 @@ def spectral_radius(
     Non-convergence within `max_iter` is reported via converged=False,
     never raised.  mu of the empty-vertex graph is 0 by convention.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _checked_tol(tol)
     if max_iter is None:
         max_iter = default_max_iter(g.n)
     if g.n == 0:
@@ -296,8 +308,7 @@ def multipartite_mu_exact(
     wide specs cost two terms per evaluation.  Zero-size parts are ignored
     (they arise from Turan partitions with n < r).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _checked_tol(tol)
     sizes = spec.sizes if isinstance(spec, PartSpec) else tuple(spec)
     if len(sizes) == 0:
         raise ValueError("need at least one part")
@@ -332,6 +343,12 @@ def turan_mu_exact(n: int, r: int, tol: float = EXACT_SOLVER_TOL) -> float:
     return multipartite_mu_exact(turan_part_sizes(n, r), tol)
 
 
+def _multipartite_excess(groups: list[tuple[int, int]], x: Fraction) -> Fraction:
+    """sum_i s_i / (x + s_i) - 1 over grouped part sizes, for x >= 0; it
+    is strictly decreasing in x and vanishes at mu(K(sizes))."""
+    return sum((Fraction(cnt * s) / (x + s) for s, cnt in groups), Fraction(-1))
+
+
 def multipartite_mu_at_least(sizes: Sequence[int], x: Fraction) -> bool:
     """Exact test mu(K(sizes)) >= x for rational x >= 0.
 
@@ -342,10 +359,7 @@ def multipartite_mu_at_least(sizes: Sequence[int], x: Fraction) -> bool:
     groups = _grouped_sizes(sizes)
     if sum(cnt for _, cnt in groups) <= 1:
         return x <= 0
-    total = Fraction(0)
-    for s, cnt in groups:
-        total += Fraction(cnt * s, 1) / (x + s)
-    return total >= 1
+    return _multipartite_excess(groups, Fraction(x)) >= 0
 
 
 def interval_flags(value, residual, converged, reference, ref_tol):
@@ -445,22 +459,139 @@ def compare_mu_to_threshold(
     return _threshold_comparison(g, spectral_radius(g, tol=tol), threshold, tol)
 
 
-def _char_poly(b: list[list[int]]):
-    """The characteristic polynomial of the nonempty integer matrix b, as a
-    sympy Poly with integer coefficients."""
-    import sympy
+def _char_poly(b: list[list[int]]) -> list[int]:
+    """Integer coefficients c_0 = 1, c_1, ..., c_k of det(lam I - b) =
+    sum_j c_j lam^(k - j), for a square integer matrix b, by
+    Faddeev-LeVerrier: with N_1 = b and N_j = b (N_{j-1} + c_{j-1} I),
+    c_j = -tr(N_j) / j, and every division is exact because the c_j are
+    integers."""
+    k = len(b)
+    a = np.array(b, dtype=object).reshape(k, k)
+    coeffs = [1]
+    n_j = a.copy()
+    for j in range(1, k + 1):
+        if j > 1:
+            n_j = a @ n_j
+        c = -sum(n_j.diagonal()) // j
+        coeffs.append(c)
+        n_j.flat[:: k + 1] += c
+    return coeffs
 
-    return sympy.Matrix(b).charpoly(sympy.Symbol("lam"))
+
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the gcd of its coefficients; the sign is kept."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
-def _largest_root(b: list[list[int]]):
-    """Largest real root of the characteristic polynomial of the integer
-    matrix b, as an exact sympy algebraic number; 0 for the empty matrix."""
-    import sympy
+def _strip(p: list[int]) -> list[int]:
+    i = 0
+    while i < len(p) - 1 and p[i] == 0:
+        i += 1
+    return p[i:]
 
-    if not b:
-        return sympy.Integer(0)
-    return _char_poly(b).real_roots()[-1]
+
+def _positive_prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b (deg a >= deg b >= 0):
+    each step scales by |lc(b)|, not lc(b), so the remainder keeps the
+    sign Sturm's theorem needs (pseudo-division, Knuth, TAOCP vol. 2,
+    §4.6.1, with its factor lc(b)^(deg a - deg b + 1) made positive)."""
+    lead, tail = abs(b[0]), b[1:]
+    sign = 1 if b[0] > 0 else -1
+    r = list(a)
+    while len(r) >= len(b):
+        c = r[0] * sign
+        r = [lead * x for x in r[1:]]
+        for i, y in enumerate(tail):
+            r[i] -= c * y
+        r = _strip(r)
+        if len(r) == 1 and r[0] == 0:
+            break
+    return r
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """The Sturm sequence p, p', -rem, ... of a nonzero integer polynomial,
+    as primitive integer polynomials (each a positive multiple of the
+    classical term); the last entry is gcd(p, p') up to a constant."""
+    d = len(p) - 1
+    if d == 0:
+        return [_primitive(p)]
+    chain = [_primitive(p), _primitive([c * (d - i) for i, c in enumerate(p[:-1])])]
+    while len(chain[-1]) > 1:
+        r = _positive_prem(chain[-2], chain[-1])
+        if r == [0]:
+            break
+        chain.append(_primitive([-c for c in r]))
+    return chain
+
+
+def _exact_quotient(p: list[int], q: list[int]) -> list[int]:
+    """p / q as a primitive integer polynomial, for q dividing p over Q."""
+    lead, quotient, r = q[0], [], list(p)
+    while len(r) >= len(q):
+        c = r[0]
+        quotient = [lead * x for x in quotient] + [c]
+        r = [lead * x for x in r[1:]]
+        for i, y in enumerate(q[1:]):
+            r[i] -= c * y
+    return _primitive(quotient)
+
+
+def _gcd(p: list[int], q: list[int]) -> list[int]:
+    """gcd(p, q) of nonzero integer polynomials, up to a constant (Euclid
+    on primitive pseudo-remainders)."""
+    a, b = sorted((_primitive(p), _primitive(q)), key=len, reverse=True)
+    while len(b) > 1:
+        r = _positive_prem(a, b)
+        if r == [0]:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _square_free(p: list[int]) -> tuple[list[int], list[int]]:
+    """(the square-free part of p, its Sturm chain), both primitive."""
+    chain = _sturm_chain(p)
+    if len(chain[-1]) == 1:
+        return chain[0], chain
+    part = _exact_quotient(chain[0], chain[-1])
+    return part, _sturm_chain(part)
+
+
+def _value_sign(p: list[int], t: Fraction) -> int:
+    """The sign of p(t), from the integer den^deg(p) p(num/den)."""
+    num, den = t.numerator, t.denominator
+    v, scale = p[0], 1
+    for c in p[1:]:
+        scale *= den
+        v = v * num + c * scale
+    return (v > 0) - (v < 0)
+
+
+def _variations(chain: list[list[int]], t: Fraction | None) -> int:
+    """Sign changes along the chain at t, zeros skipped; t = None is +oo."""
+    signs = [
+        s
+        for s in (
+            ((p[0] > 0) - (p[0] < 0)) if t is None else _value_sign(p, t)
+            for p in chain
+        )
+        if s
+    ]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _roots_above(chain: list[list[int]], t: Fraction) -> int:
+    """The number of real roots in (t, oo) of the square-free chain[0]
+    (Sturm's theorem).  A root at t is first divided out."""
+    p = chain[0]
+    if len(p) == 1:
+        return 0
+    if _value_sign(p, t) == 0:
+        linear = [t.denominator, -t.numerator]
+        return _roots_above(_sturm_chain(_exact_quotient(p, linear)), t)
+    return _variations(chain, t) - _variations(chain, None)
 
 
 def _mu_quotient(g: Graph) -> list[list[int]]:
@@ -475,32 +606,63 @@ def exact_mu_greater_than_rational(g: Graph, threshold: Fraction) -> bool:
 
     mu(G) is the largest real root of the characteristic polynomial p of
     the k x k integer twin quotient (see the module docstring), so it
-    exceeds t iff p has a real root in (t, oo).  Sturm counting
-    (`count_roots`) counts the distinct roots in [t, oo), one too many
-    when p(t) = 0; no root is isolated.
+    exceeds t iff p has a real root in (t, oo): one Sturm count of p's
+    square-free part, with a root at t divided out first.
     """
-    import sympy
-
     b = _mu_quotient(g)
     if not b:
         return threshold < 0  # mu = 0
-    p = _char_poly(b)
-    t = sympy.Rational(threshold.numerator, threshold.denominator)
-    return bool(p.count_roots(t, None) - (p.eval(t) == 0) > 0)
+    _, chain = _square_free(_char_poly(b))
+    return _roots_above(chain, Fraction(threshold)) > 0
 
 
 def compare_mu_exact_multipartite(g: Graph, sizes: Sequence[int]) -> Verdict:
-    """Exact algebraic decision of mu(G) > mu(K(sizes)); never INCONCLUSIVE.
+    """Exact decision of mu(G) > mu(K(sizes)); never INCONCLUSIVE.
 
-    Both sides are the largest real root of an integer quotient matrix:
-    G's twin quotient, and K(sizes)'s, B[i][j] = s_j for i != j over the
-    nonzero parts.  sympy isolates both roots exactly; equal algebraic
-    numbers share their minimal polynomial, so a tie such as G = T_r(n)
-    against its own part sizes compares equal.  Intended for the few
-    near-tie instances per scan, not as the bulk path.
+    mu(K) is bracketed in rationals by the sign of sum_i s_i/(x + s_i) - 1
+    (`multipartite_mu_at_least`).  An algebraic integer that is rational
+    is an integer, so a rational mu(K) shows as its own floor, and one
+    Sturm count of G's polynomial p_G above it decides.  Otherwise the
+    bracket (lo, hi) is narrowed until K's quotient polynomial p_K has one
+    root above lo.  Every common root of p_G and p_K lies at or below
+    mu(K), so p_G's square-free part divided by its gcd with p_K has the
+    roots of p_G above mu(K) and no root at mu(K); once the bracket holds
+    none of its roots, its roots above hi decide.  A tie such as G =
+    T_r(n) against its own part sizes thus compares NOT_GREATER.
     """
-    parts = [s for s in sizes if s > 0]
-    quotient = [[s * (i != j) for j, s in enumerate(parts)] for i in range(len(parts))]
-    mu_ref = _largest_root(quotient)
-    mu_g = _largest_root(_mu_quotient(g))
-    return Verdict.GREATER if mu_g > mu_ref else Verdict.NOT_GREATER
+    b = _mu_quotient(g)
+    if not b:
+        return Verdict.NOT_GREATER  # mu(G) = 0 <= mu(K)
+    part, chain = _square_free(_char_poly(b))
+    groups = _grouped_sizes(sizes)
+    lo, hi = 0, sum(s * cnt for s, cnt in groups)  # mu(K) in [lo, hi) for r >= 2
+    if sum(cnt for _, cnt in groups) >= 2:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _multipartite_excess(groups, Fraction(mid)) >= 0:
+                lo = mid
+            else:
+                hi = mid
+        rational = _multipartite_excess(groups, Fraction(lo)) == 0
+    else:
+        rational = True  # K is edgeless: mu(K) = 0
+    lo, hi = Fraction(lo), Fraction(lo + 1)
+    if rational:
+        return Verdict.GREATER if _roots_above(chain, lo) else Verdict.NOT_GREATER
+    parts = [s for s, cnt in groups for _ in range(cnt)]
+    _, k_chain = _square_free(
+        _char_poly([[s * (i != j) for j, s in enumerate(parts)] for i in range(len(parts))])
+    )
+
+    def narrow() -> tuple[Fraction, Fraction]:
+        mid = (lo + hi) / 2
+        return (mid, hi) if _multipartite_excess(groups, mid) >= 0 else (lo, mid)
+
+    while _roots_above(k_chain, lo) > 1:
+        lo, hi = narrow()
+    common = _gcd(part, k_chain[0])
+    if len(common) > 1:
+        chain = _sturm_chain(_exact_quotient(part, common))
+    while _roots_above(chain, lo) != _roots_above(chain, hi):
+        lo, hi = narrow()
+    return Verdict.GREATER if _roots_above(chain, hi) else Verdict.NOT_GREATER

@@ -194,6 +194,22 @@ def canonical_mask(n: int, mask: int) -> int:
     return best
 
 
+def canonical_masks(n: int) -> np.ndarray:
+    """`canonical_mask` of every mask of order n, in mask order: the
+    elementwise minimum of the relabelled masks over all n! relabellings,
+    each relabelling applied bit by bit to the whole mask range."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    masks = np.arange(1 << len(pairs), dtype=np.int64)
+    best = masks.copy()
+    for perm in itertools.permutations(range(n)):
+        image = np.zeros_like(masks)
+        for i, (u, v) in enumerate(pairs):
+            image |= ((masks >> i) & 1) << index[tuple(sorted((perm[u], perm[v])))]
+        np.minimum(best, image, out=best)
+    return best
+
+
 def turan_plus_edge_mu(n: int, r: int) -> float:
     """mu(T_r(n)+e) from an equitable partition, independent of the power
     iteration.

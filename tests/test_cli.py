@@ -271,6 +271,51 @@ class TestNonFiniteC:
         assert err.splitlines() == [f"error: c must be finite, got {c}"]
 
 
+class TestNonFiniteTol:
+    """--tol, SPECTURAN_TOL and an experiment's tol must be positive and
+    finite: each bad value is one error line and exit 1, before any work."""
+
+    BAD = ["inf", "-inf", "nan", "0"]
+
+    @pytest.fixture
+    def host(self, tmp_path):
+        path = str(tmp_path / "t.el")
+        write_edge_list_file(make_turan_plus_edge(30, 3), path)
+        return path
+
+    @staticmethod
+    def _rejected(code, out, err, value, prefix=""):
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: {prefix}tol must be positive and finite, got {float(value)}"
+        ]
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_flag(self, value, host, capsys):
+        self._rejected(*run_cli(capsys, "mu", host, f"--tol={value}"), value)
+        argv = ("check", host, "--theorem", "stt", "--r", "3", f"--tol={value}")
+        self._rejected(*run_cli(capsys, *argv), value)
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_environment(self, value, host, capsys, monkeypatch):
+        monkeypatch.setenv("SPECTURAN_TOL", value)
+        prefix = "SPECTURAN_TOL: "
+        self._rejected(*run_cli(capsys, "mu", host), value, prefix)
+        argv = ("check", host, "--theorem", "t1", "--r", "3")
+        self._rejected(*run_cli(capsys, *argv), value, prefix)
+        argv = ("experiment", "--set", "mode=exhaustive", "--set", "n=3")
+        self._rejected(*run_cli(capsys, *argv), value, prefix)
+        # An explicit setting wins over the environment.
+        code, _, _ = run_cli(capsys, "mu", host, "--tol=1e-10")
+        assert code == 0
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_experiment_setting(self, value, capsys):
+        argv = ("experiment", "--set", "mode=exhaustive", "--set", "n=3")
+        argv += ("--set", f"tol={value}")
+        self._rejected(*run_cli(capsys, *argv), value)
+
+
 class TestIntegerFlags:
     """Integer flags, SPECTURAN_BUDGET and experiment settings are read
     exactly: plain integers at any size, scientific notation only where it

@@ -1,5 +1,10 @@
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -11,6 +16,8 @@ from specturan.graph import graph_from_edge_mask, make_turan
 from specturan.harness import (
     ExperimentConfig,
     _mask_classes,
+    _orbit_members,
+    _permuted_pair_bits,
     run_exhaustive,
     run_experiment,
     run_family_sweep,
@@ -36,7 +43,7 @@ from specturan.theorems import (
     run_checks,
     turan_edge_count,
 )
-from oracles import canonical_mask, turan_neighbourhood_hosts
+from oracles import canonical_mask, canonical_masks, turan_neighbourhood_hosts
 
 
 DATA = Path(__file__).parent / "data"
@@ -125,6 +132,14 @@ class TestConfig:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.strip() == message
 
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, "inf", "nan"])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            ExperimentConfig.from_mapping({"mode": "exhaustive", "n": 4, "tol": tol})
+        if not isinstance(tol, str):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                ExperimentConfig(mode="random_hunt", n_min=4, n_max=4, tol=tol)
+
     def test_exhaustive_caps_n(self):
         with pytest.raises(ValueError):
             ExperimentConfig(mode="exhaustive", n_min=9, n_max=9)
@@ -167,6 +182,15 @@ class TestVectorKernelsAgainstScalar:
             assert abs(value[i] - est.value) <= 1e-12
 
 
+def _class_of(n):
+    """(reps, the class of every mask) from the regenerated orbits of every
+    class, which must cover each mask exactly once."""
+    reps, _ = _mask_classes(n)
+    masks, owner = _orbit_members(n, reps, np.arange(len(reps)))
+    assert np.array_equal(masks, _all_masks(n))
+    return reps, owner
+
+
 class TestIsomorphismClasses:
     """The orbit partition behind class-based exhaustive scans."""
 
@@ -174,39 +198,88 @@ class TestIsomorphismClasses:
 
     @pytest.mark.parametrize("n", range(8))
     def test_class_counts_and_orbit_sizes(self, n):
-        masks = _all_masks(n)
-        reps, class_of = _mask_classes(n, masks)
-        assert len(reps) == self.A000088[n]
-        sizes = np.bincount(class_of, minlength=len(reps))
+        reps, sizes = _mask_classes(n)
+        assert len(reps) == len(sizes) == self.A000088[n]
         assert int(sizes.sum()) == 1 << (n * (n - 1) // 2)
         assert all(math.factorial(n) % int(s) == 0 for s in sizes)
 
     @pytest.mark.parametrize("n", range(8))
     def test_representative_is_smallest_mask_of_its_class(self, n):
+        reps, sizes = _mask_classes(n)
+        assert np.all(np.diff(reps.astype(np.int64)) > 0)
+        _, class_of = _class_of(n)
         masks = _all_masks(n)
-        reps, class_of = _mask_classes(n, masks)
         smallest = np.full(len(reps), masks.max(), dtype=masks.dtype)
         np.minimum.at(smallest, class_of, masks)
         assert np.array_equal(smallest, reps)
-        assert np.array_equal(class_of[reps], np.arange(len(reps)))
+        assert np.array_equal(np.bincount(class_of, minlength=len(reps)), sizes)
 
     @pytest.mark.parametrize("n", range(6))
     def test_classes_match_oracle_canonical_forms(self, n):
-        masks = _all_masks(n)
-        reps, class_of = _mask_classes(n, masks)
-        canon = [canonical_mask(n, int(m)) for m in masks]
-        # Two masks share a class exactly when their canonical forms agree.
-        class_of_canon: dict[int, int] = {}
-        for m, form in enumerate(canon):
-            assert class_of_canon.setdefault(form, int(class_of[m])) == class_of[m]
-        assert len(class_of_canon) == len(reps)
-        assert [int(reps[class_of[m]]) for m in masks] == canon
+        reps, sizes = _mask_classes(n)
+        canon = Counter(canonical_mask(n, m) for m in range(1 << (n * (n - 1) // 2)))
+        assert sorted(canon) == reps.tolist()
+        assert [canon[int(m)] for m in reps] == sizes.tolist()
 
-    def test_sample_gets_identity_partition(self):
+    @pytest.mark.parametrize("n", range(7))
+    def test_regenerated_masks_match_brute_force_gather(self, n):
+        reps, _ = _mask_classes(n)
+        class_of = np.searchsorted(reps, canonical_masks(n))
+        assert np.array_equal(reps[class_of], canonical_masks(n))
+        rng = np.random.default_rng(n)
+        for density in (0.0, 0.05, 0.3, 1.0):
+            flags = rng.random(len(reps)) < density
+            masks, classes = _orbit_members(n, reps, np.flatnonzero(flags))
+            want = np.nonzero(flags[class_of])[0]
+            assert np.array_equal(masks, want)
+            assert np.array_equal(classes, class_of[want])
+
+    def test_sample_gets_identity_partition(self, monkeypatch):
+        # A sampled scan decodes each sampled mask once, in order, as its
+        # own class, and never marks orbits.
+        def no_marking(n):
+            raise AssertionError("a sampled scan marked orbits")
+
+        decodes = []
+        decode = harness.graph_from_edge_mask
+
+        def counting_decode(n, mask):
+            decodes.append(mask)
+            return decode(n, mask)
+
+        monkeypatch.setattr(harness, "_mask_classes", no_marking)
+        monkeypatch.setattr(harness, "graph_from_edge_mask", counting_decode)
         masks = _sample_masks(7, 50, 4)
-        reps, class_of = _mask_classes(7, masks)
-        assert reps is masks
-        assert np.array_equal(class_of, np.arange(len(masks)))
+        out = harness._scan_order(7, 3, masks, 1e-10, ("edge-spectral",), True)
+        assert decodes == masks.tolist()
+        edges = np.bitwise_count(masks).astype(np.int64)
+        assert out["stats"]["edge_count_distribution"] == np.bincount(edges).tolist()
+        assert out["instances"] == len(masks)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_permuted_pair_bits(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        index = {p: i for i, p in enumerate(pairs)}
+        want = [
+            [1 << index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+            for perm in itertools.permutations(range(n))
+        ]
+        table = _permuted_pair_bits(n)
+        assert table.dtype == np.uint32
+        assert table.shape == (math.factorial(n), len(pairs))
+        assert table.tolist() == want
+
+    def test_full_scan_allocates_no_per_mask_array(self):
+        # At n = 7 an int32 per mask alone would take 8 MiB; the visited
+        # array takes 2 MiB.
+        tracemalloc.start()
+        try:
+            checks = ("stt", "lenslmm", "edge-spectral")
+            harness._scan_order(7, 3, None, 1e-10, checks, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
 
 class TestClassBroadcast:
@@ -220,7 +293,7 @@ class TestClassBroadcast:
     @pytest.mark.parametrize("n, sample", [(6, 0), (7, 2000)])
     def test_broadcast_matches_per_mask(self, n, sample):
         masks = _sample_masks(n, sample, 12) if sample else _all_masks(n)
-        reps, class_of = _mask_classes(n, _all_masks(n))
+        reps, class_of = _class_of(n)
         cls = class_of[masks]
         per_mask = spectral_radii(_graphs(masks, n), 1e-10)
         per_class = spectral_radii(_graphs(reps, n), 1e-10)
@@ -449,6 +522,29 @@ class TestExactResolution:
         assert v.detail[f"{flag}_resolved"] == "exact"
         [row] = run_family_sweep(cfg).stats["verdicts"]
         assert row[flag] == "no"
+
+    def test_runtime_never_imports_sympy(self):
+        # sympy is only the tests' oracle: an exhaustive scan with its 140
+        # ties and a checker's tie run on the integer exact path alone.
+        script = (
+            "import sys\n"
+            "from specturan.graph import make_turan\n"
+            "from specturan.harness import ExperimentConfig, run_experiment\n"
+            "from specturan.theorems import TheoremId, run_check\n"
+            "cfg = ExperimentConfig(mode='exhaustive', n_min=7, n_max=7, r=3,\n"
+            "    checks=('stt', 'lenslmm', 'edge-spectral', 'tsize'))\n"
+            "assert len(run_experiment(cfg).inconclusive_log) == 140\n"
+            "v = run_check(TheoremId.FACT_STT, make_turan(9, 3), 3)\n"
+            "assert v.detail['hypothesis_resolved'] == 'exact'\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_lenslmm_exact_agrees_with_float(self, r):

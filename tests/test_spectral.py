@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from specturan import spectral
 
@@ -12,6 +14,7 @@ from oracles import (
     charpoly_mu,
     eig_mu,
     reference_spectral_radius,
+    shuffled_twin_blowup,
     turan_neighbourhood_hosts,
     turan_plus_edge_mu,
 )
@@ -209,7 +212,7 @@ class TestDensityShift:
         # switch, so scalar estimates keep their unshifted bits.  On the
         # whole matrix a few disconnected classes separate their components
         # slowly and cross it; the batch still agrees with the scalar path.
-        reps, _ = _mask_classes(7, np.arange(1 << 21, dtype=np.uint32))
+        reps, _ = _mask_classes(7)
         graphs = [graph_from_edge_mask(7, int(m)) for m in reps]
         value, _, conv = spectral_radii(graphs)
         assert conv.all()
@@ -318,7 +321,7 @@ class TestTwinQuotient:
         assert got[2] > spectral._SHIFT_STEP
 
     def test_twin_free_n7_class_representatives_bit_identical(self):
-        reps, _ = _mask_classes(7, np.arange(1 << 21, dtype=np.uint32))
+        reps, _ = _mask_classes(7)
         checked = 0
         for mask in reps:
             g = graph_from_edge_mask(7, int(mask))
@@ -571,10 +574,10 @@ class TestExactCap:
     with at most EXACT_MAX_CLASSES twin classes."""
 
     def test_tie_above_cap_stays_inconclusive(self, monkeypatch):
-        def no_sympy(b):
+        def no_polynomial(b):
             raise AssertionError("exact path taken above the cap")
 
-        monkeypatch.setattr(spectral, "_char_poly", no_sympy)
+        monkeypatch.setattr(spectral, "_char_poly", no_polynomial)
         n = 3 * (EXACT_MAX_CLASSES // 3 + 1)
         g = _tied_circulant(n)
         assert len(g.twin_classes()) == n > EXACT_MAX_CLASSES
@@ -695,3 +698,129 @@ class TestExactMuAtScale:
         assert compare_mu_exact_multipartite(plus, sizes) is Verdict.GREATER
         minus = t.without_edge(*next(t.edges()))
         assert compare_mu_exact_multipartite(minus, sizes) is Verdict.NOT_GREATER
+
+
+EXACT_LAW = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@hst.composite
+def exact_hosts(draw):
+    """A seeded G(k, m), or its shuffled blow-up with 1-3 twins per vertex."""
+    k = draw(hst.integers(min_value=1, max_value=6))
+    m = draw(hst.integers(min_value=0, max_value=k * (k - 1) // 2))
+    base = random_gnm(k, m, draw(hst.integers(min_value=0, max_value=2**32)))
+    if draw(hst.booleans()):
+        return base
+    sizes = draw(hst.lists(hst.integers(1, 3), min_size=k, max_size=k))
+    rows, _ = shuffled_twin_blowup(base, sizes, draw(hst.integers(0, 2**32)))
+    return Graph(len(rows), rows)
+
+
+class TestIntegerExactPath:
+    """The exact path's integer polynomial and Sturm counts, against sympy
+    as an independent oracle."""
+
+    @given(exact_hosts())
+    @EXACT_LAW
+    def test_char_poly_matches_sympy(self, g):
+        import sympy
+
+        b = spectral._mu_quotient(g)
+        want = sympy.Matrix(b).charpoly(sympy.Symbol("lam")).all_coeffs()
+        assert spectral._char_poly(b) == [int(c) for c in want]
+
+    @given(exact_hosts())
+    @EXACT_LAW
+    def test_decisions_match_charpoly_mu(self, g):
+        _assert_exact_agrees(g, charpoly_mu(g))
+
+    @given(hst.lists(hst.integers(-3, 3), min_size=2, max_size=9).filter(lambda p: p[0]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_sturm_chain_is_the_classical_one_up_to_positive_factors(self, p):
+        # The classical chain p, p', -rem(p_{i-1}, p_i), ... over the
+        # rationals; small sparse coefficients give degree gaps and negative
+        # leading coefficients, where a pseudo-remainder's sign can flip.
+        def rem(a, b):
+            a = list(a)
+            while len(a) >= len(b):
+                q = a[0] / b[0]
+                a = [x - q * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+                while len(a) > 1 and a[0] == 0:
+                    a = a[1:]
+                if a == [0]:
+                    break
+            return a
+
+        d = len(p) - 1
+        derivative = [c * (d - i) for i, c in enumerate(p[:-1])]
+        classical = [[Fraction(c) for c in p], [Fraction(c) for c in derivative]]
+        while len(classical[-1]) > 1:
+            r = rem(classical[-2], classical[-1])
+            if r == [0]:
+                break
+            classical.append([-c for c in r])
+        chain = spectral._sturm_chain(p)
+        assert len(chain) == len(classical)
+        for got, want in zip(chain, classical):
+            factor = Fraction(got[0]) / want[0]
+            assert factor > 0 and got == [factor * c for c in want]
+
+    @pytest.mark.parametrize(
+        "roots, t, above",
+        [
+            ((2, 2, -1), 0, 1),
+            ((2, 2, -1), 2, 0),
+            ((2, 2, -1), -1, 1),
+            ((3, 3, 3, 1, -5), 1, 1),
+            ((-3, -1, 4, 7), Fraction(-7, 2), 4),
+            ((-3, -1, 4, 7), Fraction(4), 1),
+        ],
+    )
+    def test_roots_above_with_repeated_roots(self, roots, t, above):
+        # A leading coefficient of -2 makes the remainders' signs matter.
+        p = [-2]
+        for root in roots:
+            p = [a - root * b for a, b in zip(p + [0], [0] + p)]
+        part, chain = spectral._square_free(p)
+        assert len(part) == len(set(roots)) + 1
+        assert spectral._roots_above(chain, Fraction(t)) == above
+
+
+def _mu_of_k(sizes):
+    """mu(K(sizes)) from K's full adjacency characteristic polynomial."""
+    return charpoly_mu(make_complete_multipartite(tuple(s for s in sizes if s > 0)))
+
+
+class TestMultipartiteBracket:
+    """compare_mu_exact_multipartite against irrational and integer mu(K),
+    ties included, with unbalanced part sizes."""
+
+    @pytest.mark.parametrize(
+        "sizes", [(2, 1), (3, 1, 1), (3, 3, 2), (4, 1), (2, 2), (3, 3, 3)]
+    )
+    def test_k_against_itself_and_neighbours(self, sizes):
+        # Vertices 0 and 1 share the first part, which has at least two.
+        k = make_complete_multipartite(sizes)
+        minus = k.without_edge(*next(iter(k.edges())))
+        for g, want in ((k, False), (minus, False), (k.with_edge(0, 1), True)):
+            got = compare_mu_exact_multipartite(g, sizes)
+            assert got is (Verdict.GREATER if want else Verdict.NOT_GREATER)
+
+    @pytest.mark.parametrize("sizes", [(1, 2), (1, 1, 3), (2, 3, 3), (1, 4)])
+    def test_other_hosts_of_the_same_order(self, sizes):
+        mu_k = _mu_of_k(sizes)
+        n = sum(sizes)
+        for seed in range(12):
+            m = (seed * 7) % (n * (n - 1) // 2 + 1)
+            g = random_gnm(n, m, 0xB4AC + seed)
+            want = Verdict.GREATER if charpoly_mu(g) > mu_k else Verdict.NOT_GREATER
+            assert compare_mu_exact_multipartite(g, sizes) is want
+
+
+class TestNonFiniteTol:
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1e-10])
+    def test_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            spectral_radius(make_turan_plus_edge(30, 3), tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            multipartite_mu_exact((3, 4), tol=tol)
