@@ -435,6 +435,19 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     return g
 
 
+def edge_mask_stack(n: int, masks: np.ndarray) -> np.ndarray:
+    """(len(masks), n, n) uint8 stack of the 0/1 adjacency matrices of
+    `graph_from_edge_mask(n, m)` for each mask m, without building a Graph:
+    bit i of m is entry i of `np.triu_indices(n, 1)`, the lexicographic
+    pair list, and its mirror."""
+    rows, cols = np.triu_indices(n, 1)
+    bits = (masks[:, None] >> np.arange(rows.size, dtype=masks.dtype)) & 1
+    stack = np.zeros((masks.shape[0], n, n), dtype=np.uint8)
+    stack[:, rows, cols] = bits
+    stack[:, cols, rows] = bits
+    return stack
+
+
 def write_edge_list(g: Graph) -> str:
     """Serialize: header "<n> <m>" then one "u v" line per edge, lex sorted."""
     lines = [f"{g.n} {g.edge_count()}"]

@@ -9,15 +9,21 @@ The exhaustive mode enumerates every labeled graph of order n <= 8 by
 edge-mask integer.  Every quantity its checks use is an isomorphism
 invariant, so a full scan first partitions the masks into isomorphism
 classes by orbit marking in a visited array of one byte per mask (2^21
-masks, 1044 classes at n = 7) and evaluates each class once on its
-smallest mask, decoded into a Graph: `spectral.spectral_radii` and
-`spectral.interval_flags` estimate and compare mu for the spectral
-hypothesis, and the library's exact counters `count_cliques` and
-`joint_size` give clique and joint counts.  Counts are weighted by orbit
-size, and the tie log and counterexample records still hold one entry
-per labeled mask: their classes' orbits are regenerated and sorted.  No
-other array has an entry per mask.  A sampled scan treats each sampled
-mask as its own class.  Spectral comparisons the interval leaves open are
+masks, 1044 classes at n = 7).  Only the lower half is walked: masks with
+more than half of the pairs are marked up front, and each walk appends
+its complement class.  Each class is evaluated once, on its smallest
+mask, and mostly without building a Graph: the edge and clique counts
+are popcounts and subset-mask tests on the mask, and
+`spectral.spectral_radii` and `spectral.interval_flags` estimate and
+compare mu on adjacency matrices unpacked from the masks.  A class is
+decoded into a Graph, once, only when a step needs one: the exact
+tie-break, a run the batch hands to `spectral.spectral_radius`, or the
+`joint_size` statistics; counterexample records and the lenslmm boundary
+decode their own labeled masks.  Counts are weighted by orbit size, and
+the tie log and counterexample records still hold one entry per labeled
+mask: their classes' orbits are regenerated and sorted.  No other array
+has an entry per mask.  A sampled scan draws distinct masks and treats
+each as its own class.  Spectral comparisons the interval leaves open are
 settled exactly, by Sturm counts on the integer quotient polynomial, once
 per class, so every instance ends with a definite verdict and the tie log
 stays auditable.
@@ -44,6 +50,7 @@ import numpy as np
 from .graph import (
     Graph,
     MAX_EXHAUSTIVE_N,
+    edge_mask_stack,
     graph_from_edge_mask,
     make_turan,
     make_turan_plus_edge,
@@ -64,7 +71,6 @@ from .spectral import (
 from .subgraph import (
     SearchStatus,
     book_size,
-    count_cliques,
     find_complete_multipartite,
     joint_size,
 )
@@ -81,6 +87,8 @@ from .theorems import (
 
 EXHAUSTIVE_CHECKS = ("stt", "lenslmm", "edge-spectral", "tsize")
 DEFAULT_FAMILIES = ("turan", "turan_plus_e", "turan_minus_e")
+_BATCH_CHUNK = 1 << 16  # class representatives per batched kernel pass
+_PREMARK_CHUNK = 1 << 16  # masks per pass of the partition's popcount pre-marking
 
 
 def integer(value) -> int:
@@ -263,25 +271,34 @@ def _orbit(table: np.ndarray, mask: int) -> np.ndarray:
     return table[:, bits].sum(axis=1, dtype=np.uint32)
 
 
-def _mask_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Isomorphism classes of the masks of order n: (reps, size), the
-    least mask of each class in increasing order and its orbit size.
+def _mask_classes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Isomorphism classes of the masks of one order, given its
+    `_permuted_pair_bits` table: (reps, size), the least mask of each class
+    in increasing order and its orbit size.
 
     Orbit marking over a visited array of one byte per mask: the smallest
     unvisited mask opens a class, and its n! images are marked.  Its orbit
     size is n!/|Aut|, the number of permutations over the number that fix
-    it.  Complementing every mask maps orbits to orbits, so the class of
-    ~m is marked with it, and its least mask is the complement of the
-    largest image; a self-complementary class has itself as complement.
+    it.  Complementing every mask maps orbits to orbits, and the least mask
+    of the complement class is the complement of the largest image.  With
+    P pairs, a class with more than P/2 edges is the complement of one with
+    fewer, so those masks are marked up front by popcount and a walk only
+    appends its complement class.  Only a class with exactly P/2 edges has
+    its complement in the walked half, so it marks that orbit too unless it
+    is self-complementary.
     """
-    total = 1 << (n * (n - 1) // 2)
+    pairs = table.shape[1]
+    total = 1 << pairs
     full = np.uint32(total - 1)
-    table = _permuted_pair_bits(n)
-    visited = np.zeros(total, dtype=np.uint8)
+    visited = np.empty(total, dtype=np.uint8)
+    for lo in range(0, total, _PREMARK_CHUNK):
+        chunk = np.arange(lo, min(lo + _PREMARK_CHUNK, total), dtype=np.uint32)
+        visited[lo : lo + chunk.size] = np.bitwise_count(chunk) > pairs // 2
+    unvisited = sum(math.comb(pairs, e) for e in range(pairs // 2 + 1))
     reps: list[int] = []
     sizes: list[int] = []
     pos, window = 0, 4096
-    while pos < total:
+    while unvisited:
         free = np.flatnonzero(visited[pos : pos + window] == 0)
         if free.size == 0:
             pos += window
@@ -292,29 +309,66 @@ def _mask_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
         size = table.shape[0] // int(np.count_nonzero(images == rep))
         reps.append(rep)
         sizes.append(size)
+        unvisited -= size
         complement = int(full ^ images.max())
         if complement != rep:
-            visited[full ^ images] = 1
             reps.append(complement)
             sizes.append(size)
+            if 2 * rep.bit_count() == pairs:
+                visited[full ^ images] = 1
+                unvisited -= size
         pos = rep + 1
     order = np.argsort(reps)
     return np.array(reps, dtype=np.uint32)[order], np.array(sizes, dtype=np.int64)[order]
 
 
 def _orbit_members(
-    n: int, reps: np.ndarray, classes: np.ndarray
+    table: np.ndarray, reps: np.ndarray, classes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(masks, class) of every mask in the given classes, by increasing
     mask, from regenerated orbits."""
     if classes.size == 0:
         return np.zeros(0, dtype=np.uint32), np.zeros(0, dtype=np.int64)
-    table = _permuted_pair_bits(n)
     orbits = [np.unique(_orbit(table, int(reps[c]))) for c in classes]
     masks = np.concatenate(orbits)
     owner = np.repeat(classes, [o.size for o in orbits])
     order = np.argsort(masks)
     return masks[order], owner[order]
+
+
+def _mask_clique_counts(n: int, masks: np.ndarray, q: int) -> np.ndarray:
+    """k_q of the graph of every mask, without building a Graph: the
+    number of q-subsets whose pair mask S (the OR of its C(q, 2) pair bits)
+    lies inside the mask, in chunks of `_BATCH_CHUNK` masks."""
+    pair_bit = np.zeros((n, n), dtype=np.uint32)
+    rows, cols = np.triu_indices(n, 1)
+    pair_bit[rows, cols] = np.uint32(1) << np.arange(rows.size, dtype=np.uint32)
+    subsets = np.array(list(itertools.combinations(range(n), q)), dtype=np.intp)
+    s = np.bitwise_or.reduce(
+        pair_bit[subsets[:, :, None], subsets[:, None, :]], axis=(1, 2)
+    ).astype(masks.dtype)
+    counts = np.empty(masks.shape[0], dtype=np.int64)
+    for lo in range(0, masks.shape[0], _BATCH_CHUNK):
+        chunk = masks[lo : lo + _BATCH_CHUNK, None]
+        counts[lo : lo + chunk.shape[0]] = ((chunk & s) == s).sum(axis=1)
+    return counts
+
+
+def _mask_radii(
+    n: int, masks: np.ndarray, tol: float, graph_of: Callable[[int], Graph]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`spectral_radii` of the graph of every mask, unpacked from the
+    masks in chunks of `_BATCH_CHUNK`; `graph_of(i)` builds the Graph of
+    masks[i] for a run the batch hands to `spectral_radius`."""
+    parts = [
+        spectral_radii(
+            edge_mask_stack(n, masks[lo : lo + _BATCH_CHUNK]),
+            lambda i, lo=lo: graph_of(lo + i),
+            tol,
+        )
+        for lo in range(0, masks.shape[0], _BATCH_CHUNK)
+    ]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _scan_order(
@@ -331,31 +385,39 @@ def _scan_order(
     Every array below is indexed by isomorphism class, not by mask, and
     no array has one entry per mask: a full scan holds the class
     representatives and orbit sizes of `_mask_classes`, and a sample is
-    its own list of classes, one per sampled mask.  Each representative is
-    decoded into a Graph once, and the estimator and the clique and joint
-    counters run on that Graph.  Counts are weighted by the number of
-    masks in each class.  Only index sets (tie log, counterexamples, the
-    lenslmm boundary) are expanded to the masks of their classes, in mask
-    order, by regenerating the orbits of the flagged classes.
+    its own list of classes, one per sampled mask.  The edge and clique
+    counts and the batched estimate come from the representatives' masks;
+    a representative is decoded into a Graph, at most once, only for a
+    class that needs one: an open interval's exact tie-break, a run the
+    batch hands to `spectral_radius`, or the js_{r+1} statistics.  Counts
+    are weighted by the number of masks in each class.  Only index sets
+    (tie log, counterexamples, the lenslmm boundary) are expanded to the
+    masks of their classes, in mask order, by regenerating the orbits of
+    the flagged classes.
     """
     if sample is None:
-        reps, size = _mask_classes(n)
+        table = _permuted_pair_bits(n)
+        reps, size = _mask_classes(table)
     else:
         reps, size = sample, np.ones(sample.shape[0], dtype=np.int64)
     total = int(size.sum())
-    graphs = [graph_from_edge_mask(n, int(m)) for m in reps]
+    decoded: dict[int, Graph] = {}
+
+    def graph_of(c: int) -> Graph:
+        """The Graph of class c, decoded on first use."""
+        if c not in decoded:
+            decoded[c] = graph_from_edge_mask(n, int(reps[c]))
+        return decoded[c]
+
     e_arr = np.bitwise_count(reps).astype(np.int64)
-    k = {
-        q: np.array([count_cliques(g, q).count for g in graphs], dtype=np.int64)
-        for q in range(2, min(n, r + 1) + 1)
-    }
+    k = {q: _mask_clique_counts(n, reps, q) for q in range(2, min(n, r + 1) + 1)}
 
     def masks_where(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(masks, class) of the masks whose class is flagged, by mask."""
         classes = np.flatnonzero(flags)
         if sample is not None:
             return sample[classes], classes
-        return _orbit_members(n, reps, classes)
+        return _orbit_members(table, reps, classes)
 
     def mask_histogram(arr: np.ndarray) -> list[int]:
         return np.bincount(arr, weights=size).astype(np.int64).tolist()
@@ -370,12 +432,12 @@ def _scan_order(
     }
     zeros = np.zeros(reps.shape[0], dtype=np.int64)
     if need_spectral:
-        value, resid, conv = spectral_radii(graphs, tol)
+        value, resid, conv = _mask_radii(n, reps, tol, graph_of)
         greater, not_greater = interval_flags(value, resid, conv, mu_t, tol)
         is_open = ~(greater | not_greater)
         parts = turan_part_sizes(n, r)
-        for c in np.nonzero(is_open)[0]:
-            exact = compare_mu_exact_multipartite(graphs[c], parts)
+        for c in np.flatnonzero(is_open):
+            exact = compare_mu_exact_multipartite(graph_of(int(c)), parts)
             greater[c] = exact is Verdict.GREATER
         for mask, c in zip(*masks_where(is_open)):
             tie = Verdict.GREATER if greater[c] else Verdict.NOT_GREATER
@@ -467,11 +529,26 @@ def _scan_order(
         # Only for report compatibility: reports have always carried js_{r+1}
         # for r + 1 <= 4 alone; joint_size itself has no such limit.
         if r + 1 <= 4:
-            js = np.array([joint_size(g, r + 1).size for g in graphs], dtype=np.int64)
+            js = np.array(
+                [joint_size(graph_of(c), r + 1).size for c in range(reps.shape[0])],
+                dtype=np.int64,
+            )
             dist[f"js_{r + 1}"] = mask_histogram(js)
         out["stats"]["distributions"] = dist
         out["stats"]["edge_count_distribution"] = mask_histogram(e_arr)
     return out
+
+
+def _sample_masks(total: int, cap: int, seed: int) -> np.ndarray:
+    """`cap` distinct masks below `total`, sorted, by Floyd's algorithm
+    (Bentley & Floyd, CACM 30(9), 1987): for j = total - cap .. total - 1,
+    draw t uniform in [0, j] and keep t, or j when t is already kept.  One
+    `SplitMix64.below` draw per mask: a repeat is never redrawn."""
+    draws = SplitMix64(seed).below_many(np.arange(total - cap + 1, total + 1))
+    kept: set[int] = set()
+    for j, t in zip(range(total - cap, total), draws.tolist()):
+        kept.add(j if t in kept else t)
+    return np.array(sorted(kept), dtype=np.uint32)
 
 
 def run_exhaustive(cfg: ExperimentConfig) -> ExperimentReport:
@@ -485,11 +562,7 @@ def run_exhaustive(cfg: ExperimentConfig) -> ExperimentReport:
         total = 1 << (n * (n - 1) // 2)
         sample = None
         if cfg.sample_cap and cfg.sample_cap < total:
-            rng = SplitMix64(cfg.seed)
-            sample = np.array(
-                sorted(rng.below(total) for _ in range(cfg.sample_cap)),
-                dtype=np.uint32,
-            )
+            sample = _sample_masks(total, cfg.sample_cap, cfg.seed)
         res = _scan_order(
             n, cfg.r, sample, cfg.tol, cfg.checks, collect_stats=bool(cfg.stats)
         )

@@ -17,8 +17,11 @@ A + I alone needs about 2.5n steps; shifted, T_2(n)+e converges in about
 110 steps at any n.  Graphs that converge within the first phase keep the
 unshifted bits.  `spectral_radius` runs the iteration on every connected
 component, so each run has a simple dominant eigenvalue, and reports the
-max; `spectral_radii` runs it on the full matrices of many whole graphs of
-one order at once and hands the unconverged ones to `spectral_radius`.
+max; `spectral_radii` runs it on a stack of whole adjacency matrices of
+one order at once.  It hands to `spectral_radius` a disconnected graph
+still running at `_SHIFT_STEP`, whose components with close mu separate
+slowly on the whole matrix (at n = 7 that ends the batch at step 100
+instead of 333), and any graph unconverged at the cap.
 Both loops stop by `_converged`.  For complete multipartite graphs the
 nontrivial eigenvalues solve sum_i s_i/(lam + s_i) = 1, which is strictly
 decreasing in lam, so the largest eigenvalue comes out of a bisection with
@@ -59,7 +62,6 @@ from .graph import Graph, PartSpec, turan_part_sizes
 
 DEFAULT_TOL = 1e-10
 EXACT_SOLVER_TOL = 1e-12
-_BATCH_CHUNK = 1 << 16  # graphs per batched power-iteration pass
 _SHIFT_STEP = 100  # power-iteration steps on A + I before a slow run is shifted
 # Most twin classes the exact path serves: one exact decision takes about
 # 0.08 s at k = 32 and 0.22 s at k = 40 (random twin-free G(n, m), 2-vCPU
@@ -236,60 +238,65 @@ def spectral_radius(
     return SpectralEstimate(best_value, best_res, total_iters, all_converged)
 
 
+def _connected(a: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack of adjacency matrices: is its graph connected?
+    Vertex 0's reach, grown n - 1 times by one step along the edges."""
+    reach = np.zeros(a.shape[:2], dtype=bool)
+    reach[:, 0] = True
+    for _ in range(a.shape[1] - 1):
+        reach |= np.einsum("bij,bj->bi", a, reach.astype(a.dtype)) > 0
+    return reach.all(axis=1)
+
+
 def spectral_radii(
-    graphs: Sequence[Graph], tol: float = DEFAULT_TOL
+    stack: np.ndarray, graph_of: Callable[[int], Graph], tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """mu of graphs of one order n >= 1: (value, residual, converged) arrays.
 
-    Batched power iteration over whole graphs, with the shift rule, the
-    stopping rule and the iteration cap of `spectral_radius`.  A graph left
-    unconverged (on the full matrix two components can share the dominant
-    eigenvalue) gets the entries of its `spectral_radius` estimate instead.
+    `stack` holds their (B, n, n) 0/1 adjacency matrices, and
+    `graph_of(i)` builds graph i as a Graph; it is called only for a graph
+    handed to `spectral_radius`.  Batched power iteration over whole
+    matrices, with the shift rule, the stopping rule and the iteration cap
+    of `spectral_radius`.  On the whole matrix of a disconnected graph two
+    components with close mu separate slowly, so a disconnected graph
+    still unconverged at `_SHIFT_STEP` leaves the batch, and it and any
+    graph left unconverged at the cap get the entries of their
+    `spectral_radius` estimate, which iterates per component.
     """
-    n = graphs[0].n if graphs else 0
-    if n == 0 or any(g.n != n for g in graphs):
+    total, n = stack.shape[:2]
+    if total == 0 or n == 0:
         raise ValueError("spectral_radii needs graphs of one order n >= 1")
-    total = len(graphs)
-    nbytes = (n + 7) // 8
-    buf = b"".join(row.to_bytes(nbytes, "little") for g in graphs for row in g._adj)
-    stack = np.unpackbits(
-        np.frombuffer(buf, dtype=np.uint8).reshape(total, n, nbytes),
-        axis=2,
-        bitorder="little",
-    )[:, :, :n]
+    a = stack.astype(np.float64)
     value, resid = np.ones(total), np.zeros(total)
     conv = np.zeros(total, dtype=bool)
-    for lo in range(0, total, _BATCH_CHUNK):
-        a = stack[lo : lo + _BATCH_CHUNK].astype(np.float64)
-        B = a.shape[0]
-        val, res, done = value[lo : lo + B], resid[lo : lo + B], conv[lo : lo + B]
-        x = np.full((B, n), 1.0 / math.sqrt(n))
-        rho_prev = np.full(B, np.inf)
-        shift = np.ones(B)
-        active = np.arange(B)
-        for step in range(default_max_iter(n)):
-            if step == _SHIFT_STEP:
-                # Finished graphs' matrices are shifted too but never read again.
-                raise_by = _shift_by_density(a, a.sum(axis=(-2, -1)), n)
-                rho_prev += raise_by
-                shift[active] += raise_by[active]
-            xa = x[active]
-            y = np.einsum("bij,bj->bi", a[active], xa) + xa
-            rho = np.einsum("bi,bi->b", xa, y)
-            r_now = np.max(np.abs(y - rho[:, None] * xa), axis=1)
-            val[active] = rho
-            res[active] = r_now
-            finished = _converged(rho, rho_prev[active], r_now, tol)
-            done[active[finished]] = True
-            norms = np.linalg.norm(y, axis=1)
-            x[active] = y / norms[:, None]
-            rho_prev[active] = rho
-            active = active[~finished]
-            if active.size == 0:
-                break
-        val -= shift
+    x = np.full((total, n), 1.0 / math.sqrt(n))
+    rho_prev = np.full(total, np.inf)
+    shift = np.ones(total)
+    active = np.arange(total)
+    for step in range(default_max_iter(n)):
+        if step == _SHIFT_STEP:
+            active = active[_connected(a[active])]
+            # Finished graphs' matrices are shifted too but never read again.
+            raise_by = _shift_by_density(a, a.sum(axis=(-2, -1)), n)
+            rho_prev += raise_by
+            shift[active] += raise_by[active]
+        xa = x[active]
+        y = np.einsum("bij,bj->bi", a[active], xa) + xa
+        rho = np.einsum("bi,bi->b", xa, y)
+        r_now = np.max(np.abs(y - rho[:, None] * xa), axis=1)
+        value[active] = rho
+        resid[active] = r_now
+        finished = _converged(rho, rho_prev[active], r_now, tol)
+        conv[active[finished]] = True
+        norms = np.linalg.norm(y, axis=1)
+        x[active] = y / norms[:, None]
+        rho_prev[active] = rho
+        active = active[~finished]
+        if active.size == 0:
+            break
+    value -= shift
     for c in np.flatnonzero(~conv):
-        est = spectral_radius(graphs[c], tol)
+        est = spectral_radius(graph_of(int(c)), tol)
         value[c], resid[c], conv[c] = est.value, est.residual, est.converged
     return value, resid, conv
 

@@ -210,6 +210,43 @@ def canonical_masks(n: int) -> np.ndarray:
     return best
 
 
+def reference_mask_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(least mask of each isomorphism class, orbit size), by increasing
+    mask, from orbit marking over every mask: the smallest unmarked mask
+    opens a class, and the images of it and of its complement under all n!
+    relabellings (a table built pair by pair with itertools) are marked."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    table = np.array(
+        [
+            [1 << index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+            for perm in itertools.permutations(range(n))
+        ],
+        dtype=np.int64,
+    ).reshape(math.factorial(n), len(pairs))
+    total = 1 << len(pairs)
+    full = total - 1
+    visited = np.zeros(total, dtype=bool)
+    reps: list[int] = []
+    sizes: list[int] = []
+    for rep in range(total):
+        if visited[rep]:
+            continue
+        bits = [i for i in range(len(pairs)) if (rep >> i) & 1]
+        images = table[:, bits].sum(axis=1)
+        visited[images] = True
+        size = len(table) // int(np.count_nonzero(images == rep))
+        reps.append(rep)
+        sizes.append(size)
+        complement = full ^ int(images.max())
+        if complement != rep:
+            visited[full ^ images] = True
+            reps.append(complement)
+            sizes.append(size)
+    order = np.argsort(reps)
+    return np.array(reps)[order], np.array(sizes)[order]
+
+
 def turan_plus_edge_mu(n: int, r: int) -> float:
     """mu(T_r(n)+e) from an equitable partition, independent of the power
     iteration.

@@ -11,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specturan import cli, harness, spectral, theorems
-from specturan.graph import graph_from_edge_mask, make_turan
+from specturan import cli, harness, spectral, subgraph, theorems
+from specturan.graph import edge_mask_stack, graph_from_edge_mask, make_turan
 from specturan.harness import (
     ExperimentConfig,
     _mask_classes,
+    _mask_clique_counts,
+    _mask_radii,
     _orbit_members,
     _permuted_pair_bits,
     run_exhaustive,
@@ -28,7 +30,6 @@ from specturan.rng import SplitMix64
 from specturan.spectral import (
     exact_mu_greater_than_rational,
     interval_flags,
-    spectral_radii,
     spectral_radius,
     turan_mu_exact,
 )
@@ -43,7 +44,12 @@ from specturan.theorems import (
     run_checks,
     turan_edge_count,
 )
-from oracles import canonical_mask, canonical_masks, turan_neighbourhood_hosts
+from oracles import (
+    canonical_mask,
+    canonical_masks,
+    reference_mask_classes,
+    turan_neighbourhood_hosts,
+)
 
 
 DATA = Path(__file__).parent / "data"
@@ -72,6 +78,14 @@ def _sample_masks(n, count, seed):
 
 def _graphs(masks, n):
     return [graph_from_edge_mask(n, int(m)) for m in masks]
+
+
+def _classes(n):
+    return _mask_classes(_permuted_pair_bits(n))
+
+
+def _radii(masks, n):
+    return _mask_radii(n, masks, 1e-10, lambda i: graph_from_edge_mask(n, int(masks[i])))
 
 
 class TestConfig:
@@ -173,8 +187,9 @@ class TestVectorKernelsAgainstScalar:
     """The exhaustive engine must agree with the scalar library paths."""
 
     def test_batched_mu_matches_scalar(self):
-        graphs = _graphs(_sample_masks(7, 150, 8), 7)
-        value, resid, conv = spectral_radii(graphs, 1e-10)
+        masks = _sample_masks(7, 150, 8)
+        graphs = _graphs(masks, 7)
+        value, resid, conv = _radii(masks, 7)
         assert conv.all()
         for i, g in enumerate(graphs):
             est = spectral_radius(g)
@@ -185,8 +200,8 @@ class TestVectorKernelsAgainstScalar:
 def _class_of(n):
     """(reps, the class of every mask) from the regenerated orbits of every
     class, which must cover each mask exactly once."""
-    reps, _ = _mask_classes(n)
-    masks, owner = _orbit_members(n, reps, np.arange(len(reps)))
+    reps, _ = _classes(n)
+    masks, owner = _orbit_members(_permuted_pair_bits(n), reps, np.arange(len(reps)))
     assert np.array_equal(masks, _all_masks(n))
     return reps, owner
 
@@ -198,14 +213,14 @@ class TestIsomorphismClasses:
 
     @pytest.mark.parametrize("n", range(8))
     def test_class_counts_and_orbit_sizes(self, n):
-        reps, sizes = _mask_classes(n)
+        reps, sizes = _classes(n)
         assert len(reps) == len(sizes) == self.A000088[n]
         assert int(sizes.sum()) == 1 << (n * (n - 1) // 2)
         assert all(math.factorial(n) % int(s) == 0 for s in sizes)
 
     @pytest.mark.parametrize("n", range(8))
     def test_representative_is_smallest_mask_of_its_class(self, n):
-        reps, sizes = _mask_classes(n)
+        reps, sizes = _classes(n)
         assert np.all(np.diff(reps.astype(np.int64)) > 0)
         _, class_of = _class_of(n)
         masks = _all_masks(n)
@@ -216,20 +231,22 @@ class TestIsomorphismClasses:
 
     @pytest.mark.parametrize("n", range(6))
     def test_classes_match_oracle_canonical_forms(self, n):
-        reps, sizes = _mask_classes(n)
+        reps, sizes = _classes(n)
         canon = Counter(canonical_mask(n, m) for m in range(1 << (n * (n - 1) // 2)))
         assert sorted(canon) == reps.tolist()
         assert [canon[int(m)] for m in reps] == sizes.tolist()
 
     @pytest.mark.parametrize("n", range(7))
     def test_regenerated_masks_match_brute_force_gather(self, n):
-        reps, _ = _mask_classes(n)
+        reps, _ = _classes(n)
         class_of = np.searchsorted(reps, canonical_masks(n))
         assert np.array_equal(reps[class_of], canonical_masks(n))
         rng = np.random.default_rng(n)
         for density in (0.0, 0.05, 0.3, 1.0):
             flags = rng.random(len(reps)) < density
-            masks, classes = _orbit_members(n, reps, np.flatnonzero(flags))
+            masks, classes = _orbit_members(
+                _permuted_pair_bits(n), reps, np.flatnonzero(flags)
+            )
             want = np.nonzero(flags[class_of])[0]
             assert np.array_equal(masks, want)
             assert np.array_equal(classes, class_of[want])
@@ -282,6 +299,77 @@ class TestIsomorphismClasses:
         assert peak <= 6 * 2**20
 
 
+class TestMaskKernels:
+    """The half walk and the mask kernels against the references they
+    replace: full orbit marking, count_cliques and Graph.to_numpy."""
+
+    # Self-complementary graphs of order n (OEIS A000171).
+    SELF_COMPLEMENTARY = (1, 1, 0, 0, 1, 2, 0, 0)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_half_walk_matches_full_marking(self, n):
+        reps, sizes = _classes(n)
+        want_reps, want_sizes = reference_mask_classes(n)
+        assert reps.tolist() == want_reps.tolist()
+        assert sizes.tolist() == want_sizes.tolist()
+        # Only n = 0, 1 (mod 4) has classes with exactly half of the pairs
+        # as edges, the branch that marks a complement orbit; they hold the
+        # self-complementary classes (P4 at n = 4; C5 and the bull at n = 5).
+        full = (1 << (n * (n - 1) // 2)) - 1
+        half = [int(m) for m in reps if 2 * int(m).bit_count() == full.bit_count()]
+        assert bool(half) == (n % 4 in (0, 1))
+        selfc = [m for m in half if canonical_mask(n, full ^ m) == m]
+        assert len(selfc) == self.SELF_COMPLEMENTARY[n]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_mask_clique_counts_match_count_cliques(self, n):
+        reps, _ = _classes(n)
+        graphs = _graphs(reps, n)
+        for q in range(1, n + 1):
+            want = [count_cliques(g, q).count for g in graphs]
+            assert _mask_clique_counts(n, reps, q).tolist() == want
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_mask_stack_matches_to_numpy(self, n):
+        reps, _ = _classes(n)
+        stack = edge_mask_stack(n, reps)
+        assert stack.dtype == np.uint8
+        want = np.array([g.to_numpy() for g in _graphs(reps, n)]).reshape(len(reps), n, n)
+        assert np.array_equal(stack, want)
+
+    def test_kernels_chunk_large_inputs(self, monkeypatch):
+        # Chunked and unchunked passes give the same arrays.
+        masks = _sample_masks(7, 300, 5)
+        k4, radii = _mask_clique_counts(7, masks, 4), _radii(masks, 7)
+        monkeypatch.setattr(harness, "_BATCH_CHUNK", 64)
+        assert np.array_equal(_mask_clique_counts(7, masks, 4), k4)
+        for got, want in zip(_radii(masks, 7), radii):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "n, cap, seed", [(5, 300, 1), (6, 500, 2), (6, 100, 3), (7, 2000, 7), (3, 7, 4)]
+    )
+    def test_sample_masks_are_distinct_sorted_and_cap_many(self, n, cap, seed):
+        total = 1 << (n * (n - 1) // 2)
+        masks = harness._sample_masks(total, cap, seed)
+        assert masks.dtype == np.uint32 and len(masks) == cap
+        assert np.all(np.diff(masks.astype(np.int64)) > 0)
+        assert 0 <= int(masks[0]) and int(masks[-1]) < total
+        # Floyd's algorithm, one scalar draw per mask.
+        rng, kept = SplitMix64(seed), set()
+        for j in range(total - cap, total):
+            t = rng.below(j + 1)
+            kept.add(j if t in kept else t)
+        assert masks.tolist() == sorted(kept)
+        cfg = ExperimentConfig(
+            mode="exhaustive", n_min=n, n_max=n, r=2, checks=("edge-spectral",),
+            sample_cap=cap, seed=seed,
+        )
+        rep = run_exhaustive(cfg)
+        assert rep.stats[f"n={n}"]["graphs"] == rep.instances_checked == cap
+        assert sum(rep.stats[f"n={n}"]["edge_count_distribution"]) == cap
+
+
 class TestClassBroadcast:
     """Class estimates broadcast to masks agree with per-mask estimates."""
 
@@ -295,8 +383,8 @@ class TestClassBroadcast:
         masks = _sample_masks(n, sample, 12) if sample else _all_masks(n)
         reps, class_of = _class_of(n)
         cls = class_of[masks]
-        per_mask = spectral_radii(_graphs(masks, n), 1e-10)
-        per_class = spectral_radii(_graphs(reps, n), 1e-10)
+        per_mask = _radii(masks, n)
+        per_class = _radii(reps, n)
         value, resid, conv = (a[cls] for a in per_class)
         assert np.array_equal(conv, per_mask[2])
         assert np.abs(value - per_mask[0]).max() <= 1e-12
@@ -325,19 +413,23 @@ class TestClassBroadcast:
         assert dist == want
 
     def test_one_decode_per_class(self, monkeypatch):
-        decodes, counts = [], []
-        decode, count = harness.graph_from_edge_mask, harness.count_cliques
+        # Edge and clique counts and the batched estimate come from the class
+        # masks.  A stats=0 scan decodes only the 2 tied classes (exact
+        # tie-break) and the 8 disconnected classes the batch hands to
+        # spectral_radius, each once, and never counts cliques on a Graph.
+        decodes = []
+        decode = harness.graph_from_edge_mask
 
         def counting_decode(n, mask):
             decodes.append(mask)
             return decode(n, mask)
 
-        def counting_count(g, q):
-            counts.append(q)
-            return count(g, q)
+        def no_count(g, q):
+            raise AssertionError("count_cliques ran in a stats=0 scan")
 
         monkeypatch.setattr(harness, "graph_from_edge_mask", counting_decode)
-        monkeypatch.setattr(harness, "count_cliques", counting_count)
+        monkeypatch.setattr(subgraph, "count_cliques", no_count)
+        monkeypatch.setattr(theorems, "count_cliques", no_count)
         cfg = ExperimentConfig(
             mode="exhaustive",
             n_min=7,
@@ -347,8 +439,8 @@ class TestClassBroadcast:
             stats=0,
         )
         rep = run_exhaustive(cfg)
-        assert len(decodes) == len(set(decodes)) == 1044
-        assert len(counts) == 3 * 1044
+        assert len(decodes) == len(set(decodes)) == 10
+        assert all(canonical_mask(7, m) == m for m in decodes)
         assert len(rep.inconclusive_log) == 140
 
     @pytest.mark.parametrize(

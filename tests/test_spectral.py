@@ -28,7 +28,7 @@ from specturan.graph import (
     random_gnm,
     turan_part_sizes,
 )
-from specturan.harness import _mask_classes
+from specturan.harness import _mask_classes, _permuted_pair_bits
 from specturan.rng import SplitMix64
 from specturan.spectral import (
     EXACT_MAX_CLASSES,
@@ -137,12 +137,22 @@ def _path_union(a, b):
     return Graph.from_edges(a + b, edges)
 
 
+def _radii(graphs, tol=1e-10):
+    """`spectral_radii` of Graphs of one order, from their stacked matrices."""
+    return spectral_radii(np.stack([g.to_numpy() for g in graphs]), graphs.__getitem__, tol)
+
+
+def _n7_class_graphs():
+    reps, _ = _mask_classes(_permuted_pair_bits(7))
+    return [graph_from_edge_mask(7, int(m)) for m in reps]
+
+
 class TestSpectralRadii:
     def test_fallback_runs_unconverged_graphs_through_spectral_radius(
         self, monkeypatch
     ):
         # mu(P_30) and mu(P_31) are too close for the whole-matrix iteration
-        # to converge within the cap; the per-component path separates them.
+        # to converge; the per-component path separates them.
         graphs = [_path_union(30, 31), _path_union(31, 30)]
         calls = []
         scalar = spectral.spectral_radius
@@ -152,7 +162,7 @@ class TestSpectralRadii:
             return scalar(g, tol)
 
         monkeypatch.setattr(spectral, "spectral_radius", counting)
-        value, resid, conv = spectral_radii(graphs, 1e-10)
+        value, resid, conv = _radii(graphs)
         assert calls == graphs
         for i, g in enumerate(graphs):
             est = scalar(g)
@@ -163,12 +173,36 @@ class TestSpectralRadii:
             )
 
     def test_rejects_order_zero_and_mixed_orders(self):
+        # A stack holds graphs of one order by construction; it must hold
+        # at least one graph, of order at least 1.
         with pytest.raises(ValueError):
-            spectral_radii([Graph(0)])
+            spectral_radii(np.zeros((1, 0, 0)), [Graph(0)].__getitem__)
         with pytest.raises(ValueError):
-            spectral_radii([])
-        with pytest.raises(ValueError):
-            spectral_radii([Graph(3), Graph(4)])
+            spectral_radii(np.zeros((0, 3, 3)), [].__getitem__)
+
+    def test_disconnected_stragglers_leave_the_batch_at_the_shift_step(
+        self, monkeypatch
+    ):
+        # Eight n = 7 classes are disconnected and still unconverged at the
+        # shift step on their whole matrices (104-333 steps to converge
+        # there); they go to the per-component path.
+        graphs = _n7_class_graphs()
+        calls = []
+        scalar = spectral.spectral_radius
+
+        def counting(g, tol):
+            calls.append(g)
+            return scalar(g, tol)
+
+        monkeypatch.setattr(spectral, "spectral_radius", counting)
+        value, resid, conv = _radii(graphs)
+        assert conv.all()
+        assert len(calls) == 8
+        assert all(len(g.components()) > 1 for g in calls)
+        for g in calls:
+            est = scalar(g)
+            i = graphs.index(g)
+            assert (value[i], resid[i]) == (est.value, est.residual)
 
 
 class TestDensityShift:
@@ -201,7 +235,7 @@ class TestDensityShift:
         assert steps[0] > spectral._SHIFT_STEP >= max(steps[1:])
         calls = []
         monkeypatch.setattr(spectral, "spectral_radius", lambda g, tol: calls.append(g))
-        value, resid, conv = spectral_radii(graphs, 1e-10)
+        value, resid, conv = _radii(graphs)
         assert calls == [] and conv.all()
         for i, est in enumerate(estimates):
             assert abs(value[i] - est.value) <= 1e-12
@@ -211,10 +245,9 @@ class TestDensityShift:
         # Per component every n = 7 class converges on A + I before the
         # switch, so scalar estimates keep their unshifted bits.  On the
         # whole matrix a few disconnected classes separate their components
-        # slowly and cross it; the batch still agrees with the scalar path.
-        reps, _ = _mask_classes(7)
-        graphs = [graph_from_edge_mask(7, int(m)) for m in reps]
-        value, _, conv = spectral_radii(graphs)
+        # slowly and leave the batch; it still agrees with the scalar path.
+        graphs = _n7_class_graphs()
+        value, _, conv = _radii(graphs)
         assert conv.all()
 
         def no_shift(*args):
@@ -321,10 +354,8 @@ class TestTwinQuotient:
         assert got[2] > spectral._SHIFT_STEP
 
     def test_twin_free_n7_class_representatives_bit_identical(self):
-        reps, _ = _mask_classes(7)
         checked = 0
-        for mask in reps:
-            g = graph_from_edge_mask(7, int(mask))
+        for g in _n7_class_graphs():
             if len(g.twin_classes()) == 7:
                 assert self._estimate(g) == reference_spectral_radius(g)
                 checked += 1
