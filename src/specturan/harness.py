@@ -24,9 +24,9 @@ the tie log and counterexample records still hold one entry per labeled
 mask: their classes' orbits are regenerated and sorted.  No other array
 has an entry per mask.  A sampled scan draws distinct masks and treats
 each as its own class.  Spectral comparisons the interval leaves open are
-settled exactly, by Sturm counts on the integer quotient polynomial, once
-per class, so every instance ends with a definite verdict and the tie log
-stays auditable.
+settled exactly, by one Sturm-Tarski count on the integer quotient
+polynomial, once per class, so every instance ends with a definite
+verdict and the tie log stays auditable.
 
 The family sweep and the random hunt record what one `theorems.run_checks`
 call returns per graph: mu, the Turan reference, its exact tie settlement
@@ -133,6 +133,9 @@ class ExperimentConfig:
         if self.n_min > self.n_max:
             raise ValueError("empty n range")
         _checked_tol(self.tol)
+        for key in ("trials", "sample_cap"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.mode != "tightness" and self.n_min < 1:
             raise ValueError(f"{self.mode} mode needs n_min >= 1")
         if self.mode == "exhaustive" and self.n_max > MAX_EXHAUSTIVE_N:

@@ -34,21 +34,23 @@ yield a silent float decision.  An interval left open (a genuine tie such
 as G = T_r(n) itself, or an unconverged estimate) is settled exactly on the
 same twin quotient: with integer B[i][j] = |row(class i) ∩ class j| =
 s_j Q[i][j], the equitable partition makes mu(G) the largest real root of
-B's characteristic polynomial (Godsil & Royle, Algebraic Graph Theory,
-§9.3).  The exact path is integer arithmetic only: `_char_poly` gives
-that polynomial's integer coefficients, and Sturm chains of primitive
-integer pseudo-remainders (Knuth, TAOCP vol. 2, §4.6.1) count its
-distinct real roots above a rational, by Sturm's theorem.
-Against a rational t, mu(G) > t iff the square-free part has a root in
-(t, oo).  Against mu(K(s_1, ..., s_r)), the quotient with B[i][j] = s_j
-for i != j, the root of K is bracketed in rationals and compared without
-isolating either root (`compare_mu_exact_multipartite`).  The polynomial
-is k x k for k twin classes, so the exact path serves only k <=
-`EXACT_MAX_CLASSES`; above it an open interval stays INCONCLUSIVE.
+B's characteristic polynomial p (Godsil & Royle, Algebraic Graph Theory,
+§9.3).  The exact path is integer arithmetic only: `_char_poly` gives p's
+integer coefficients, and one Sturm-Tarski count decides mu(G) > theta
+(`_mu_exceeds`): some root of p above -1/2 has h > 0, for an integer
+polynomial h with the sign of x - theta there.  Against a rational
+num/den, h = den x - num; against mu(K(s_1, ..., s_r)), h is K's secular
+polynomial (`_secular`).  The count reads two signed remainder sequences
+of primitive integer pseudo-remainders (Knuth, TAOCP vol. 2, §4.6.1) and
+holds whether or not p is square-free, so no root is isolated, bracketed
+or divided out.  The polynomial is k x k for k twin classes, so the exact
+path serves only k <= `EXACT_MAX_CLASSES`; above it an open interval
+stays INCONCLUSIVE.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -64,8 +66,9 @@ DEFAULT_TOL = 1e-10
 EXACT_SOLVER_TOL = 1e-12
 _SHIFT_STEP = 100  # power-iteration steps on A + I before a slow run is shifted
 # Most twin classes the exact path serves: one exact decision takes about
-# 0.08 s at k = 32 and 0.22 s at k = 40 (random twin-free G(n, m), 2-vCPU
-# VM), nearly all of it the k x k characteristic polynomial.
+# 0.055 s at k = 32 and 0.15 s at k = 40 (random twin-free
+# G(k, e(T_3(k)) + 1), min of 5, 2-vCPU VM), nearly all of it the k x k
+# characteristic polynomial.
 EXACT_MAX_CLASSES = 32
 
 
@@ -350,23 +353,36 @@ def turan_mu_exact(n: int, r: int, tol: float = EXACT_SOLVER_TOL) -> float:
     return multipartite_mu_exact(turan_part_sizes(n, r), tol)
 
 
-def _multipartite_excess(groups: list[tuple[int, int]], x: Fraction) -> Fraction:
-    """sum_i s_i / (x + s_i) - 1 over grouped part sizes, for x >= 0; it
-    is strictly decreasing in x and vanishes at mu(K(sizes))."""
-    return sum((Fraction(cnt * s) / (x + s) for s, cnt in groups), Fraction(-1))
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """The product of two integer polynomials (coefficients from the top)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _secular(sizes: Sequence[int]) -> list[int]:
+    """The secular polynomial of K(sizes): prod_s (x + s) times
+    1 - sum_s c_s s / (x + s), over the distinct positive part sizes s,
+    c_s parts each; x when K has at most one part.  On x > -1 the product
+    is positive and the second factor strictly increasing, vanishing at
+    mu(K), so h_K(x) has the sign of x - mu(K) there."""
+    groups = _grouped_sizes(sizes)
+    if not groups:
+        return [1, 0]
+    linear = [[1, s] for s, _ in groups]
+    h = functools.reduce(_times, linear)
+    for i, (s, cnt) in enumerate(groups):
+        rest = functools.reduce(_times, linear[:i] + linear[i + 1 :], [1])
+        h = [a - cnt * s * b for a, b in zip(h, [0] + rest)]
+    return h
 
 
 def multipartite_mu_at_least(sizes: Sequence[int], x: Fraction) -> bool:
-    """Exact test mu(K(sizes)) >= x for rational x >= 0.
-
-    Uses monotonicity of f(lam) = sum s_i/(lam + s_i): mu >= x iff f(x) >= 1.
-    """
-    if x < 0:
-        return True
-    groups = _grouped_sizes(sizes)
-    if sum(cnt for _, cnt in groups) <= 1:
-        return x <= 0
-    return _multipartite_excess(groups, Fraction(x)) >= 0
+    """Exact test mu(K(sizes)) >= x for rational x: true for x < 0, and
+    otherwise iff K's secular polynomial is <= 0 at x (`_secular`)."""
+    return x < 0 or _value_sign(_secular(sizes), Fraction(x)) <= 0
 
 
 def interval_flags(value, residual, converged, reference, ref_tol):
@@ -419,7 +435,7 @@ def _certified(
 def _turan_comparison(
     g: Graph, est: SpectralEstimate, r: int, tol: float
 ) -> SpectralComparison:
-    """`_certified` against mu(T_r(n)), settled by the exact roots."""
+    """`_certified` against mu(T_r(n)), settled by the exact count."""
     return _certified(
         g, est, _turan_reference(g.n, r, tol), tol,
         lambda: compare_mu_exact_multipartite(g, turan_part_sizes(g.n, r))
@@ -430,7 +446,7 @@ def _turan_comparison(
 def _threshold_comparison(
     g: Graph, est: SpectralEstimate, threshold: Fraction, tol: float
 ) -> SpectralComparison:
-    """`_certified` against a rational threshold, settled by Sturm counting."""
+    """`_certified` against a rational threshold, settled by the exact count."""
     return _certified(
         g, est, Fraction(threshold), tol,
         lambda: exact_mu_greater_than_rational(g, threshold),
@@ -499,10 +515,11 @@ def _strip(p: list[int]) -> list[int]:
 
 
 def _positive_prem(a: list[int], b: list[int]) -> list[int]:
-    """A positive multiple of the remainder of a by b (deg a >= deg b >= 0):
-    each step scales by |lc(b)|, not lc(b), so the remainder keeps the
-    sign Sturm's theorem needs (pseudo-division, Knuth, TAOCP vol. 2,
-    §4.6.1, with its factor lc(b)^(deg a - deg b + 1) made positive)."""
+    """A positive multiple of the remainder of a by b (deg b >= 1): each
+    step scales by |lc(b)|, not lc(b), so the remainder keeps the sign
+    the variation counts need (pseudo-division, Knuth, TAOCP vol. 2,
+    §4.6.1, with its factor lc(b)^(deg a - deg b + 1) made positive).
+    When deg a < deg b the remainder is a itself."""
     lead, tail = abs(b[0]), b[1:]
     sign = 1 if b[0] > 0 else -1
     r = list(a)
@@ -517,53 +534,17 @@ def _positive_prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _sturm_chain(p: list[int]) -> list[list[int]]:
-    """The Sturm sequence p, p', -rem, ... of a nonzero integer polynomial,
-    as primitive integer polynomials (each a positive multiple of the
-    classical term); the last entry is gcd(p, p') up to a constant."""
-    d = len(p) - 1
-    if d == 0:
-        return [_primitive(p)]
-    chain = [_primitive(p), _primitive([c * (d - i) for i, c in enumerate(p[:-1])])]
+def _remainders(p: list[int], q: list[int]) -> list[list[int]]:
+    """The signed remainder sequence p, q, -rem(p, q), ... of nonzero
+    integer polynomials, as primitive integer polynomials, each a positive
+    multiple of the classical term; deg q may exceed deg p."""
+    chain = [_primitive(p), _primitive(q)]
     while len(chain[-1]) > 1:
         r = _positive_prem(chain[-2], chain[-1])
         if r == [0]:
             break
         chain.append(_primitive([-c for c in r]))
     return chain
-
-
-def _exact_quotient(p: list[int], q: list[int]) -> list[int]:
-    """p / q as a primitive integer polynomial, for q dividing p over Q."""
-    lead, quotient, r = q[0], [], list(p)
-    while len(r) >= len(q):
-        c = r[0]
-        quotient = [lead * x for x in quotient] + [c]
-        r = [lead * x for x in r[1:]]
-        for i, y in enumerate(q[1:]):
-            r[i] -= c * y
-    return _primitive(quotient)
-
-
-def _gcd(p: list[int], q: list[int]) -> list[int]:
-    """gcd(p, q) of nonzero integer polynomials, up to a constant (Euclid
-    on primitive pseudo-remainders)."""
-    a, b = sorted((_primitive(p), _primitive(q)), key=len, reverse=True)
-    while len(b) > 1:
-        r = _positive_prem(a, b)
-        if r == [0]:
-            return b
-        a, b = b, _primitive(r)
-    return [1]
-
-
-def _square_free(p: list[int]) -> tuple[list[int], list[int]]:
-    """(the square-free part of p, its Sturm chain), both primitive."""
-    chain = _sturm_chain(p)
-    if len(chain[-1]) == 1:
-        return chain[0], chain
-    part = _exact_quotient(chain[0], chain[-1])
-    return part, _sturm_chain(part)
 
 
 def _value_sign(p: list[int], t: Fraction) -> int:
@@ -589,18 +570,6 @@ def _variations(chain: list[list[int]], t: Fraction | None) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def _roots_above(chain: list[list[int]], t: Fraction) -> int:
-    """The number of real roots in (t, oo) of the square-free chain[0]
-    (Sturm's theorem).  A root at t is first divided out."""
-    p = chain[0]
-    if len(p) == 1:
-        return 0
-    if _value_sign(p, t) == 0:
-        linear = [t.denominator, -t.numerator]
-        return _roots_above(_sturm_chain(_exact_quotient(p, linear)), t)
-    return _variations(chain, t) - _variations(chain, None)
-
-
 def _mu_quotient(g: Graph) -> list[list[int]]:
     """G's integer twin quotient B[i][j] = s_j Q[i][j]; mu(G) is the largest
     real root of its characteristic polynomial."""
@@ -608,68 +577,47 @@ def _mu_quotient(g: Graph) -> list[list[int]]:
     return [[s * (row >> j & 1) for j, s in enumerate(sizes)] for row in quotient._adj]
 
 
-def exact_mu_greater_than_rational(g: Graph, threshold: Fraction) -> bool:
-    """Exact decision of mu(G) > threshold for rational threshold.
+def _tarski_count(p: list[int], h: list[int]) -> int:
+    """The number of distinct real roots of p above -1/2 at which h > 0,
+    for integer polynomials p (of degree >= 1, with no root at -1/2) and
+    h != 0: (TaQ(h) + TaQ(h^2)) / 2, where the Tarski query TaQ(q) is the
+    drop in sign variations from -1/2 to +oo along the signed remainder
+    sequence of (p, p'q) (Sturm-Tarski: Basu, Pollack & Roy, Algorithms in
+    Real Algebraic Geometry, Thm 2.58), whether or not p is square-free."""
+    dp = [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
 
-    mu(G) is the largest real root of the characteristic polynomial p of
-    the k x k integer twin quotient (see the module docstring), so it
-    exceeds t iff p has a real root in (t, oo): one Sturm count of p's
-    square-free part, with a root at t divided out first.
+    def taq(q: list[int]) -> int:
+        chain = _remainders(p, _times(dp, q))
+        return _variations(chain, Fraction(-1, 2)) - _variations(chain, None)
+
+    return (taq(h) + taq(_times(h, h))) // 2
+
+
+def _mu_exceeds(g: Graph, h: list[int]) -> bool:
+    """Exact decision of mu(G) > theta, for an integer polynomial h whose
+    sign on x > -1/2 is the sign of x - theta.
+
+    mu(G) >= 0 is the largest root of the quotient polynomial p (see the
+    module docstring), so mu(G) > theta iff some root of p above -1/2 has
+    h > 0 (`_tarski_count`).  p is monic with integer coefficients, so its
+    rational roots are integers and -1/2 is never one of them.
     """
     b = _mu_quotient(g)
-    if not b:
-        return threshold < 0  # mu = 0
-    _, chain = _square_free(_char_poly(b))
-    return _roots_above(chain, Fraction(threshold)) > 0
+    p = _char_poly(b) if b else [1, 0]  # mu = 0 for the empty graph
+    return _tarski_count(p, h) > 0
+
+
+def exact_mu_greater_than_rational(g: Graph, threshold: Fraction) -> bool:
+    """Exact decision of mu(G) > threshold for rational threshold
+    num/den: `_mu_exceeds` with h = den x - num."""
+    t = Fraction(threshold)
+    return _mu_exceeds(g, [t.denominator, -t.numerator])
 
 
 def compare_mu_exact_multipartite(g: Graph, sizes: Sequence[int]) -> Verdict:
     """Exact decision of mu(G) > mu(K(sizes)); never INCONCLUSIVE.
 
-    mu(K) is bracketed in rationals by the sign of sum_i s_i/(x + s_i) - 1
-    (`multipartite_mu_at_least`).  An algebraic integer that is rational
-    is an integer, so a rational mu(K) shows as its own floor, and one
-    Sturm count of G's polynomial p_G above it decides.  Otherwise the
-    bracket (lo, hi) is narrowed until K's quotient polynomial p_K has one
-    root above lo.  Every common root of p_G and p_K lies at or below
-    mu(K), so p_G's square-free part divided by its gcd with p_K has the
-    roots of p_G above mu(K) and no root at mu(K); once the bracket holds
-    none of its roots, its roots above hi decide.  A tie such as G =
-    T_r(n) against its own part sizes thus compares NOT_GREATER.
+    `_mu_exceeds` with h = K's secular polynomial (`_secular`), so a tie
+    such as G = T_r(n) against its own part sizes compares NOT_GREATER.
     """
-    b = _mu_quotient(g)
-    if not b:
-        return Verdict.NOT_GREATER  # mu(G) = 0 <= mu(K)
-    part, chain = _square_free(_char_poly(b))
-    groups = _grouped_sizes(sizes)
-    lo, hi = 0, sum(s * cnt for s, cnt in groups)  # mu(K) in [lo, hi) for r >= 2
-    if sum(cnt for _, cnt in groups) >= 2:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _multipartite_excess(groups, Fraction(mid)) >= 0:
-                lo = mid
-            else:
-                hi = mid
-        rational = _multipartite_excess(groups, Fraction(lo)) == 0
-    else:
-        rational = True  # K is edgeless: mu(K) = 0
-    lo, hi = Fraction(lo), Fraction(lo + 1)
-    if rational:
-        return Verdict.GREATER if _roots_above(chain, lo) else Verdict.NOT_GREATER
-    parts = [s for s, cnt in groups for _ in range(cnt)]
-    _, k_chain = _square_free(
-        _char_poly([[s * (i != j) for j, s in enumerate(parts)] for i in range(len(parts))])
-    )
-
-    def narrow() -> tuple[Fraction, Fraction]:
-        mid = (lo + hi) / 2
-        return (mid, hi) if _multipartite_excess(groups, mid) >= 0 else (lo, mid)
-
-    while _roots_above(k_chain, lo) > 1:
-        lo, hi = narrow()
-    common = _gcd(part, k_chain[0])
-    if len(common) > 1:
-        chain = _sturm_chain(_exact_quotient(part, common))
-    while _roots_above(chain, lo) != _roots_above(chain, hi):
-        lo, hi = narrow()
-    return Verdict.GREATER if _roots_above(chain, hi) else Verdict.NOT_GREATER
+    return Verdict.GREATER if _mu_exceeds(g, _secular(sizes)) else Verdict.NOT_GREATER

@@ -7,6 +7,7 @@ counting and search paths.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -210,21 +211,37 @@ def canonical_masks(n: int) -> np.ndarray:
     return best
 
 
-def reference_mask_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(least mask of each isomorphism class, orbit size), by increasing
-    mask, from orbit marking over every mask: the smallest unmarked mask
-    opens a class, and the images of it and of its complement under all n!
-    relabellings (a table built pair by pair with itertools) are marked."""
+@functools.cache
+def _relabelling_table(n: int) -> np.ndarray:
+    """The (n!, C(n, 2)) table of the bit each pair is sent to by each
+    vertex relabelling, built pair by pair with itertools."""
     pairs = list(itertools.combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
-    table = np.array(
+    return np.array(
         [
             [1 << index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
             for perm in itertools.permutations(range(n))
         ],
         dtype=np.int64,
     ).reshape(math.factorial(n), len(pairs))
-    total = 1 << len(pairs)
+
+
+def table_canonical_mask(n: int, mask: int) -> int:
+    """`canonical_mask` read off the relabelling table: the least of the
+    mask's n! images, each the sum of its edges' table entries."""
+    table = _relabelling_table(n)
+    bits = [i for i in range(table.shape[1]) if (mask >> i) & 1]
+    return int(table[:, bits].sum(axis=1).min())
+
+
+def reference_mask_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(least mask of each isomorphism class, orbit size), by increasing
+    mask, from orbit marking over every mask: the smallest unmarked mask
+    opens a class, and the images of it and of its complement under all n!
+    relabellings (`_relabelling_table`) are marked."""
+    table = _relabelling_table(n)
+    width = table.shape[1]
+    total = 1 << width
     full = total - 1
     visited = np.zeros(total, dtype=bool)
     reps: list[int] = []
@@ -232,7 +249,7 @@ def reference_mask_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
     for rep in range(total):
         if visited[rep]:
             continue
-        bits = [i for i in range(len(pairs)) if (rep >> i) & 1]
+        bits = [i for i in range(width) if (rep >> i) & 1]
         images = table[:, bits].sum(axis=1)
         visited[images] = True
         size = len(table) // int(np.count_nonzero(images == rep))

@@ -408,6 +408,19 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize(
+        "mode, setting",
+        [("exhaustive", "sample_cap=-3"), ("random_hunt", "trials=-2")],
+    )
+    def test_negative_count_usage_error(self, mode, setting, capsys):
+        code, out, err = run_cli(
+            capsys, "experiment", "--set", f"mode={mode}", "--set", "n=5",
+            "--set", setting,
+        )
+        key, value = setting.split("=")
+        assert code == 1 and out == ""
+        assert err.strip() == f"error: {key} must be >= 0, got {value}"
+
 
 class TestUsageContract:
     def test_unknown_subcommand(self, capsys):

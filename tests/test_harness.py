@@ -48,6 +48,7 @@ from oracles import (
     canonical_mask,
     canonical_masks,
     reference_mask_classes,
+    table_canonical_mask,
     turan_neighbourhood_hosts,
 )
 
@@ -154,6 +155,14 @@ class TestConfig:
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 ExperimentConfig(mode="random_hunt", n_min=4, n_max=4, tol=tol)
 
+    @pytest.mark.parametrize(
+        "mode, key", [("exhaustive", "sample_cap"), ("random_hunt", "trials")]
+    )
+    def test_negative_counts_rejected(self, mode, key):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 0, got -2$"):
+            ExperimentConfig.from_mapping({"mode": mode, "n": 5, key: -2})
+        ExperimentConfig.from_mapping({"mode": mode, "n": 5, key: 0})
+
     def test_exhaustive_caps_n(self):
         with pytest.raises(ValueError):
             ExperimentConfig(mode="exhaustive", n_min=9, n_max=9)
@@ -235,6 +244,11 @@ class TestIsomorphismClasses:
         canon = Counter(canonical_mask(n, m) for m in range(1 << (n * (n - 1) // 2)))
         assert sorted(canon) == reps.tolist()
         assert [canon[int(m)] for m in reps] == sizes.tolist()
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_table_canonical_mask_matches_brute_force(self, n):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            assert table_canonical_mask(n, mask) == canonical_mask(n, mask), mask
 
     @pytest.mark.parametrize("n", range(7))
     def test_regenerated_masks_match_brute_force_gather(self, n):
@@ -464,7 +478,7 @@ class TestClassBroadcast:
         assert [e["mask"] for e in log] == sorted(e["mask"] for e in log)
         assert all(e["stage"] == "exact" for e in log)
         assert len(calls) == tied_classes
-        assert len({canonical_mask(7, e["mask"]) for e in log}) == tied_classes
+        assert len({table_canonical_mask(7, e["mask"]) for e in log}) == tied_classes
         assert rep.counterexamples == []
 
 

@@ -765,61 +765,95 @@ class TestIntegerExactPath:
     def test_decisions_match_charpoly_mu(self, g):
         _assert_exact_agrees(g, charpoly_mu(g))
 
-    @given(hst.lists(hst.integers(-3, 3), min_size=2, max_size=9).filter(lambda p: p[0]))
+    @given(
+        hst.lists(hst.integers(-3, 3), min_size=1, max_size=9).filter(lambda p: p[0]),
+        hst.lists(hst.integers(-3, 3), min_size=2, max_size=11).filter(lambda q: q[0]),
+    )
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_sturm_chain_is_the_classical_one_up_to_positive_factors(self, p):
-        # The classical chain p, p', -rem(p_{i-1}, p_i), ... over the
-        # rationals; small sparse coefficients give degree gaps and negative
-        # leading coefficients, where a pseudo-remainder's sign can flip.
+    def test_remainders_are_classical_up_to_positive_factors(self, p, q):
+        # The classical sequence p, q, -rem(p_{i-1}, p_i), ... over the
+        # rationals; small sparse coefficients give degree gaps, deg q >
+        # deg p, and negative leading coefficients, where a
+        # pseudo-remainder's sign can flip.
         def rem(a, b):
             a = list(a)
             while len(a) >= len(b):
-                q = a[0] / b[0]
-                a = [x - q * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+                f = a[0] / b[0]
+                a = [x - f * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
                 while len(a) > 1 and a[0] == 0:
                     a = a[1:]
                 if a == [0]:
                     break
             return a
 
-        d = len(p) - 1
-        derivative = [c * (d - i) for i, c in enumerate(p[:-1])]
-        classical = [[Fraction(c) for c in p], [Fraction(c) for c in derivative]]
+        classical = [[Fraction(c) for c in p], [Fraction(c) for c in q]]
         while len(classical[-1]) > 1:
             r = rem(classical[-2], classical[-1])
             if r == [0]:
                 break
             classical.append([-c for c in r])
-        chain = spectral._sturm_chain(p)
+        chain = spectral._remainders(p, q)
         assert len(chain) == len(classical)
         for got, want in zip(chain, classical):
             factor = Fraction(got[0]) / want[0]
             assert factor > 0 and got == [factor * c for c in want]
 
     @pytest.mark.parametrize(
-        "roots, t, above",
+        "roots, h, sign, count",
         [
-            ((2, 2, -1), 0, 1),
-            ((2, 2, -1), 2, 0),
-            ((2, 2, -1), -1, 1),
-            ((3, 3, 3, 1, -5), 1, 1),
-            ((-3, -1, 4, 7), Fraction(-7, 2), 4),
-            ((-3, -1, 4, 7), Fraction(4), 1),
+            # h = x - t: the distinct roots above max(t, -1/2).
+            ((2, 2, -1), (0,), 1, 1),
+            ((2, 2, -1), (2,), 1, 0),
+            ((2, 2, -1), (-1,), 1, 1),
+            ((3, 3, 3, 1, -5), (1,), 1, 1),
+            ((-3, -1, 4, 7), (Fraction(-7, 2),), 1, 2),
+            ((-3, -1, 4, 7), (4,), 1, 1),
+            ((2, 2, -1), (-2,), 1, 1),
+            ((0, 0, 5), (-1,), 1, 2),
+            # h = -(x - 3)(x - 5) > 0 on (3, 5) only; h = x^2 > 0 off 0.
+            ((4, 4, 7, 1, 1), (3, 5), -1, 1),
+            ((5, 5, 3, 0), (3, 5), -1, 0),
+            ((0, 0, 2, 2, 6), (0, 0), 1, 2),
         ],
     )
-    def test_roots_above_with_repeated_roots(self, roots, t, above):
-        # A leading coefficient of -2 makes the remainders' signs matter.
-        p = [-2]
-        for root in roots:
-            p = [a - root * b for a, b in zip(p + [0], [0] + p)]
-        part, chain = spectral._square_free(p)
-        assert len(part) == len(set(roots)) + 1
-        assert spectral._roots_above(chain, Fraction(t)) == above
+    def test_tarski_count_with_repeated_roots(self, roots, h, sign, count):
+        # p and h are given by their roots, h by its sign too.  A leading
+        # coefficient of -2 makes the remainders' signs matter.
+        def from_roots(lead, rs):
+            p = [lead]
+            for root in rs:
+                p = [a - root * b for a, b in zip(p + [0], [0] + p)]
+            scale = math.lcm(*(Fraction(c).denominator for c in p))
+            return [int(c * scale) for c in p]
+
+        assert spectral._tarski_count(from_roots(-2, roots), from_roots(sign, h)) == count
+
+    @given(
+        hst.lists(hst.integers(0, 4), max_size=5),
+        hst.one_of(
+            hst.integers(0, 12).map(Fraction),
+            hst.fractions(min_value=Fraction(-49, 50), max_value=30, max_denominator=50),
+        ),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_secular_sign_is_the_sign_of_x_minus_mu_k(self, sizes, x):
+        # Integer probes hit integer mu(K), such as K(2, 2) at 2, exactly.
+        import sympy
+
+        mu_k = _mu_of_k(sizes)
+        want = sympy.sign(sympy.Rational(x.numerator, x.denominator) - mu_k)
+        assert spectral._value_sign(spectral._secular(sizes), x) == want, (sizes, x)
+        assert multipartite_mu_at_least(sizes, x) is bool(want <= 0)
 
 
 def _mu_of_k(sizes):
     """mu(K(sizes)) from K's full adjacency characteristic polynomial."""
-    return charpoly_mu(make_complete_multipartite(tuple(s for s in sizes if s > 0)))
+    return _mu_of_parts(tuple(sorted(s for s in sizes if s > 0)))
+
+
+@functools.cache
+def _mu_of_parts(parts):
+    return charpoly_mu(make_complete_multipartite(parts) if parts else Graph(0))
 
 
 class TestMultipartiteBracket:
