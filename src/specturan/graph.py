@@ -60,6 +60,7 @@ class PartSpec:
 
 
 def _bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of `mask`, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

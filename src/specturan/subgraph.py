@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .graph import Graph, PartSpec
+from .graph import Graph, PartSpec, _bit_indices
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_COLOR_CAP = 10**7
@@ -122,13 +122,6 @@ class _BudgetHit(Exception):
     pass
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _count_cliques_in(adj: Sequence[int], cand: int, r: int) -> int:
     """Number of r-cliques with all vertices inside the `cand` bitset."""
     if r == 0:
@@ -174,7 +167,7 @@ def _greedy_colorable(g: Graph, colors: int) -> bool:
         return g.n == 0
     adj = g._adj
     classes = [0] * colors
-    for v in _iter_bits(g._representatives()):
+    for v in _bit_indices(g._representatives()):
         row = adj[v]
         for c in range(colors):
             if not row & classes[c]:
@@ -258,9 +251,9 @@ def _class_pairs(g: Graph) -> _ClassPairs:
     adj = g._adj
     reps = g._representatives()
     table = []
-    for u in _iter_bits(reps):
+    for u in _bit_indices(reps):
         row = adj[u]
-        for w in _iter_bits((row & reps) >> (u + 1)):
+        for w in _bit_indices((row & reps) >> (u + 1)):
             v = u + 1 + w
             table.append((-(row & adj[v]).bit_count(), u, v))
     table.sort()
@@ -270,9 +263,9 @@ def _class_pairs(g: Graph) -> _ClassPairs:
 def _pair_edges(a: int, b: int) -> Iterator[tuple[int, int]]:
     """The edges between the disjoint, completely joined classes a and b
     (bitsets), lexicographically."""
-    for u in _iter_bits(a | b):
+    for u in _bit_indices(a | b):
         other = b if (a >> u) & 1 else a
-        for w in _iter_bits(other >> (u + 1)):
+        for w in _bit_indices(other >> (u + 1)):
             yield (u, u + 1 + w)
 
 
@@ -640,7 +633,7 @@ def _two_color(g: Graph) -> tuple[int, ...] | None:
         parity = 0
         while layer:
             reach = 0
-            for v in _iter_bits(layer):
+            for v in _bit_indices(layer):
                 reach |= adj[v]
             if reach & layer:
                 return None
@@ -650,7 +643,7 @@ def _two_color(g: Graph) -> tuple[int, ...] | None:
             layer = reach & ~seen
             parity ^= 1
     colors = [0] * g.n
-    for v in _iter_bits(odd):
+    for v in _bit_indices(odd):
         colors[v] = 1
     return tuple(colors)
 
@@ -726,7 +719,7 @@ class _Colorer:
                     raise _CapHit
                 colors[v] = c
                 touched = []
-                for u in _iter_bits(adj[v]):
+                for u in _bit_indices(adj[v]):
                     if not (neighbor_colors[u] >> c) & 1:
                         neighbor_colors[u] |= 1 << c
                         touched.append(u)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -49,7 +50,6 @@ from .spectral import (
 )
 from .subgraph import (
     DEFAULT_BUDGET,
-    DEFAULT_COLOR_CAP,
     Embedding,
     JointReport,
     SearchResult,
@@ -215,14 +215,15 @@ def _joint_certificate(g: Graph, r: int, report: JointReport) -> dict:
     return {"type": "joint", "witness_edge": [u, v], "size": report.size}
 
 
-def _round_guarded(rounding: str, x: float, mp_value: Callable) -> int:
+def _round_guarded(rounding: str, x: float, exact: Callable[[], Decimal]) -> int:
     """math.floor or math.ceil of x (`rounding` names which); within 1e-9 of
-    an integer, mp_value(mpmath) is recomputed at 50 digits and rounded."""
+    an integer, x is recomputed as exact() at 50 digits with `decimal`, and
+    that is rounded."""
     if abs(x - round(x)) < 1e-9:
-        import mpmath
-
-        with mpmath.workdps(50):
-            return int(getattr(mpmath, rounding)(mp_value(mpmath)))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            mode = ROUND_FLOOR if rounding == "floor" else ROUND_CEILING
+            return int(exact().to_integral_value(rounding=mode))
     return int(getattr(math, rounding)(x))
 
 
@@ -232,7 +233,7 @@ def floor_c_log_n(c: float, n: int) -> int:
         return 0
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
-    return _round_guarded("floor", c * math.log(n), lambda mp: mp.mpf(c) * mp.log(n))
+    return _round_guarded("floor", c * math.log(n), lambda: Decimal(c) * Decimal(n).ln())
 
 
 def ceil_n_power(n: int, exponent: float) -> int:
@@ -242,7 +243,7 @@ def ceil_n_power(n: int, exponent: float) -> int:
     if n == 1:
         return 1
     return _round_guarded(
-        "ceil", float(n) ** exponent, lambda mp: mp.mpf(n) ** mp.mpf(exponent)
+        "ceil", float(n) ** exponent, lambda: Decimal(n) ** Decimal(exponent)
     )
 
 
@@ -773,43 +774,40 @@ def _degree_peel_order(
 
 
 def find_stability_witness(
-    g: Graph,
-    r: int,
-    order_threshold: float,
-    degree_threshold: float,
-    color_cap: int = DEFAULT_COLOR_CAP,
+    g: Graph, r: int, order_threshold: float, degree_threshold: float
 ) -> tuple[StabilityWitness | None, bool]:
     """Greedy peeling toward an induced r-partite subgraph meeting the
     order and (strict, vs whole-graph n) minimum-degree thresholds.
 
     Sound but incomplete: (witness, capped).  A None witness means "not
     found", never a refutation; capped=True flags a coloring-cap abort.
+
+    The graph is coloured once, in the peel loop.  The degree peel then
+    only removes vertices, and a proper colouring restricted to an induced
+    subgraph stays proper, so the survivors keep the loop's colours; they
+    are re-verified independently on their induced subgraph.
     """
     members = list(range(g.n))
     while True:
         if len(members) < order_threshold:
             return None, False
         sub = g.induced_subgraph(members)
-        res = is_r_partite(sub, r, node_cap=color_cap)
+        res = is_r_partite(sub, r)
         if res.status is SearchStatus.BUDGET:
             return None, True
         if res.status is SearchStatus.FOUND:
-            coloring = res.coloring
             break
         evict = _conflict_peel_order(sub, members, r)
         members.remove(evict)
     evicted = set(_degree_peel_order(g, members, degree_threshold))
-    members = [v for v in members if v not in evicted]
-    if not members or len(members) < order_threshold:
+    kept = [i for i, v in enumerate(members) if v not in evicted]
+    if not kept or len(kept) < order_threshold:
         return None, False
-    sub = g.induced_subgraph(members)
-    res = is_r_partite(sub, r, node_cap=color_cap)
-    if res.status is SearchStatus.BUDGET:
-        return None, True
-    if res.status is not SearchStatus.FOUND:
-        return None, False
-    _verify_coloring(sub, res.coloring)
-    return StabilityWitness(tuple(members), res.coloring, sub.min_degree()), False
+    vertices = tuple(members[i] for i in kept)
+    coloring = tuple(res.coloring[i] for i in kept)
+    sub = g.induced_subgraph(vertices)
+    _verify_coloring(sub, coloring)
+    return StabilityWitness(vertices, coloring, sub.min_degree()), False
 
 
 def _verify_coloring(g: Graph, coloring: Sequence[int]) -> None:

@@ -453,6 +453,35 @@ def reference_degree_peel_order(
     return victims
 
 
+def reference_find_stability_witness(
+    g: Graph, r: int, order_threshold: float, degree_threshold: float
+) -> tuple[tuple[int, ...] | None, int | None, bool, int]:
+    """(vertices, min degree, capped, degree-peel evictions) of the stability
+    peel that colours twice: evict by conflicts until G[members] is
+    r-colourable, peel by degree, then colour the survivors afresh, each
+    colouring capped at 10^7 nodes."""
+    node_cap = 10**7
+    members = list(range(g.n))
+    while True:
+        if len(members) < order_threshold:
+            return None, None, False, 0
+        status, _, _ = reference_backtrack_color(g.induced_subgraph(members), r, node_cap)
+        if status == "budget":
+            return None, None, True, 0
+        if status == "found":
+            break
+        members.remove(reference_conflict_peel_order(g, members, r))
+    evicted = reference_degree_peel_order(g, members, degree_threshold)
+    members = [v for v in members if v not in evicted]
+    if not members or len(members) < order_threshold:
+        return None, None, False, len(evicted)
+    sub = g.induced_subgraph(members)
+    status, _, _ = reference_backtrack_color(sub, r, node_cap)
+    if status != "found":
+        return None, None, status == "budget", len(evicted)
+    return tuple(members), min(sub.degrees()), False, len(evicted)
+
+
 def reference_embedder_rows(g: Graph) -> list[int]:
     """The rows of G relabelled by descending degree (ties lowest index),
     built one bit at a time."""

@@ -102,8 +102,31 @@ class TestCliqueExists:
         assert clique_exists(g, 3) == (1, 2, 3)
 
     def test_large_turan_fast(self):
-        # greedy-coloring shortcut must avoid exponential search
+        # The search runs on T_5(500)'s 5 twin-class representatives, so it
+        # ends at once even without the greedy-colouring certificate.
         assert clique_exists(make_turan(500, 5), 6) is None
+
+    def test_greedy_certificate_decides_twin_free_multipartite_host(self, monkeypatch):
+        # A random 3-partite host with contiguous parts has no twins, so the
+        # search would walk its 450 vertices (roughly n^3 work); greedy
+        # colouring by index 3-colours it, which proves K_4-freeness alone.
+        from specturan import subgraph
+
+        n = 450
+        rng = SplitMix64(101)
+        part = [3 * v // n for v in range(n)]
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if part[u] != part[v] and rng.below(2)
+        ]
+        g = Graph.from_edges(n, edges)
+        assert len(g.twin_classes()) == n
+
+        def no_search(*args):
+            raise AssertionError("clique search ran")
+
+        monkeypatch.setattr(subgraph, "_clique_rec", no_search)
+        assert clique_exists(g, 4) is None
 
     def test_large_turan_plus_edge(self):
         assert clique_exists(make_turan_plus_edge(4096, 2), 3) == (0, 1, 2048)

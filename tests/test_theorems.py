@@ -10,6 +10,7 @@ from oracles import (
     brute_joint_size,
     reference_conflict_peel_order,
     reference_degree_peel_order,
+    reference_find_stability_witness,
     turan_neighbourhood_hosts,
 )
 from specturan.graph import (
@@ -23,6 +24,7 @@ from specturan.graph import (
 )
 from specturan.rng import SplitMix64
 from specturan.spectral import Verdict, compare_mu_to_threshold
+from specturan.subgraph import is_r_partite
 from specturan.theorems import (
     CHECKS,
     TheoremId,
@@ -372,6 +374,72 @@ class TestStabilityWitness:
         sub_vertices = set(witness.vertices)
         assert len(sub_vertices & {0, 1, 2}) <= 2
 
+    def test_colours_once_in_the_peel_loop(self, monkeypatch):
+        # T_3(30) colours at once; T_3(30)+e holds a K_4, so one conflict
+        # eviction precedes its colouring.  The degree peel colours nothing.
+        from specturan import theorems
+
+        calls: list[int] = []
+        peeled: list[bool] = []
+
+        def counted(sub, r):
+            assert not peeled, "coloured after the degree peel"
+            calls.append(sub.n)
+            return is_r_partite(sub, r)
+
+        def degree_peel(*args):
+            peeled.append(True)
+            return _degree_peel_order(*args)
+
+        monkeypatch.setattr(theorems, "is_r_partite", counted)
+        monkeypatch.setattr(theorems, "_degree_peel_order", degree_peel)
+        for g, want in ((make_turan(30, 3), [30]), (make_turan_plus_edge(30, 3), [30, 29])):
+            calls.clear()
+            peeled.clear()
+            witness, capped = find_stability_witness(g, 3, 0.9 * 30, 0.5 * 30)
+            assert witness is not None and not capped
+            assert calls == want and peeled
+
+    def test_one_colouring_matches_the_twice_coloured_reference(self):
+        # Hosts where the degree peel evicts: T_r(n) and T_r(n)+e with
+        # vertex 0 stripped of k cross edges, at a degree threshold just
+        # above its degree, and seeded G(n, m) at random thresholds, half of
+        # them near the minimum degree.
+        cases = []
+        for r in (2, 3, 4):
+            for n in (12, 20, 30):
+                for g in (make_turan(n, r), make_turan_plus_edge(n, r)):
+                    for k in (2, 3, 4):
+                        stripped = g
+                        for v in range(n - k, n):
+                            stripped = stripped.without_edge(0, v)
+                        cases.append((stripped, r, 0.5 * n, stripped.degree(0) + 0.5))
+        rng = SplitMix64(97)
+        for _ in range(400):
+            n = 2 + rng.below(17)
+            g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), rng.next_u64())
+            if rng.below(2):
+                degree = rng.below(4 * n) / 4 - 1
+            else:
+                degree = g.min_degree() + rng.below(5) / 2 - 0.5
+            cases.append((g, 2 + rng.below(3), rng.below(n + 1) / 2, degree))
+        evicting = 0
+        for g, r, order, degree in cases:
+            witness, capped = find_stability_witness(g, r, order, degree)
+            vertices, min_degree, ref_capped, evicted = reference_find_stability_witness(
+                g, r, order, degree
+            )
+            assert capped == ref_capped
+            if witness is None:
+                assert vertices is None, (g, r, order, degree)
+                continue
+            assert (witness.vertices, witness.min_degree) == (vertices, min_degree)
+            assert len(witness.coloring) == len(vertices)
+            assert set(witness.coloring) <= set(range(r))
+            _verify_coloring(g.induced_subgraph(vertices), witness.coloring)
+            evicting += evicted > 0
+        assert evicting >= 80
+
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_conflict_peel_matches_reference(self, r):
         rng = SplitMix64(83 + r)
@@ -421,6 +489,39 @@ class TestStabilityWitness:
             with pytest.raises(AssertionError) as err:
                 _verify_coloring(g, coloring)
             assert str(err.value) == f"coloring not proper on edge ({bad[0][0]},{bad[0][1]})"
+
+
+class TestCappedColouring:
+    """A colouring that hits its node cap leaves branch (b) "capped": the
+    conclusion holds only through branch (a), and stays inconclusive else."""
+
+    @pytest.fixture(autouse=True)
+    def one_node_cap(self, monkeypatch):
+        from specturan import theorems
+
+        monkeypatch.setattr(
+            theorems, "is_r_partite", lambda sub, r: is_r_partite(sub, r, node_cap=1)
+        )
+
+    def test_witness_search_reports_the_cap(self):
+        assert find_stability_witness(make_turan(30, 3), 3, 0.9 * 30, 0.5 * 30) == (None, True)
+
+    @pytest.mark.parametrize("tid", [TheoremId.T1_2, TheoremId.T2_2, TheoremId.T3_2])
+    def test_inconclusive_without_branch_a(self, tid):
+        # T_3(30) has no K_4: branch (a) fails, and (b) is cut off.
+        v = run_check(tid, make_turan(30, 3), 3, c=0.3, b=0.01)
+        assert v.hypothesis is TriState.YES
+        assert v.detail["branch_a"] == "no"
+        assert v.detail["branch_b"] == "capped"
+        assert v.conclusion is TriState.INCONCLUSIVE
+        assert v.certificate is None
+
+    def test_branch_a_still_concludes(self):
+        v = run_check(TheoremId.T1_2, make_turan_plus_edge(30, 3), 3, b=0.01)
+        assert v.detail["branch_a"] == "yes"
+        assert v.detail["branch_b"] == "capped"
+        assert v.conclusion is TriState.YES
+        assert v.certificate["branch"] == "a"
 
 
 class TestGuardedRounding:
