@@ -290,7 +290,10 @@ def _cmd_check(args) -> int:
     _emit(verdict.to_json_dict(), args.format)
     if verdict.is_counterexample:
         return EXIT_COUNTEREXAMPLE
-    if TriState.INCONCLUSIVE in (verdict.hypothesis, verdict.conclusion):
+    # Under a hypothesis settled "no" the theorem promises nothing, so an
+    # open conclusion there is not a failure to decide.
+    flags = (verdict.hypothesis, verdict.conclusion)
+    if verdict.hypothesis is not TriState.NO and TriState.INCONCLUSIVE in flags:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 

@@ -5,26 +5,27 @@ Everything here is exact and deterministic: fixed vertex orderings
 search budgets are a first-class third outcome (BUDGET), never conflated
 with a completed negative search (ABSENT).
 
-Counting uses ordered expansion over bitset intersections, so each clique
-is visited once.  Joint sizes reuse the counter on common neighborhoods,
-with three exactness-preserving accelerations.  Only one edge per pair
-of twin classes (vertices with identical rows) is scanned, since all
-edges between two classes share one common neighborhood; T_r(n)+e has
-r + 2 classes whatever n.  Identical common neighborhoods are counted
-once (memoized), and edges whose clique-count upper bound cannot beat
-the current maximum are skipped.  That bound is the exact integer colex
-form of the Kruskal-Katona theorem, computed once per distinct common
-neighborhood.  For edges (js_4) it is the edge count itself, so the
-memoized exact count serves as the bound.
+Clique and joint counts run once on the twin-class representatives
+(least members of classes of identical rows), weighted by class size.  A
+clique holds at most one vertex per class, since twins are never
+adjacent, and a common neighbourhood is a union of whole classes, so k_q
+inside one is the sum over the q-cliques of representatives in it of the
+product of their class sizes.  `_count_cliques_in` visits each such
+clique once, by ordered expansion over bitset intersections.  A joint
+size takes one count per pair of adjacent classes, whose edges share one
+common neighbourhood; T_r(n)+e has r + 2 classes whatever n.  There is
+no Kruskal-Katona bound and no count memo: the table-order break below
+is the scan's one early stop.
 
 Those class pairs form one table per host (`_class_pairs`), read off the
 classes the graph stores: an entry (-|cn|, u, v) for the least members
 u < v of each adjacent class pair, sorted, with cn = row(u) & row(v)
-recomputed by one AND where needed.
-`joint_size` scans it and stops at the first entry whose bound C(|cn|, k)
-falls below the best count so far.  `find_kr_plus` tries part-1 edges in
-the same order, by descending |cn| and then lexicographically, and walks
-them lazily off the table: the class pairs of one key are expanded into
+recomputed by one AND where needed.  `joint_size` scans it and stops at
+the first entry whose bound C(|cn|, k) falls below the best count so far;
+with `with_per_edge` it scans every entry and gives each pair's count to
+all edges between its classes.  `find_kr_plus` tries part-1 edges in the
+same order, by descending |cn| and then lexicographically, and walks them
+lazily off the table: the class pairs of one key are expanded into
 their edges, lexicographically per pair, and merged with `heapq.merge`;
 a key whose pairs are all single vertices yields them directly.  So no
 edge list is built or sorted, and a search that succeeds on its first
@@ -122,12 +123,23 @@ class _BudgetHit(Exception):
     pass
 
 
-def _count_cliques_in(adj: Sequence[int], cand: int, r: int) -> int:
-    """Number of r-cliques with all vertices inside the `cand` bitset."""
+def _count_cliques_in(
+    adj: Sequence[int], cand: int, r: int, sizes: Sequence[int], heavy: tuple
+) -> int:
+    """Sum, over the r-cliques inside the `cand` bitset, of the product of
+    `sizes` over the clique.  `heavy` holds (s - 1, bitset of the vertices
+    of size s) for each size s > 1, so the last vertex is weighed by one
+    `bit_count` per entry; it is empty exactly when every size is 1, and
+    then the last two levels take no product.  On the representatives with
+    their class sizes (`_class_weights`), this is k_r of G inside the
+    classes of `cand`."""
     if r == 0:
         return 1
     if r == 1:
-        return cand.bit_count()
+        total = cand.bit_count()
+        for extra, members in heavy:
+            total += extra * (cand & members).bit_count()
+        return total
     total = 0
     m = cand
     while m:
@@ -137,21 +149,42 @@ def _count_cliques_in(adj: Sequence[int], cand: int, r: int) -> int:
         # m now holds only candidates above v, keeping the expansion ordered
         sub = adj[v] & m
         if r == 2:
-            total += sub.bit_count()
+            count = sub.bit_count()
+            if heavy:
+                for extra, members in heavy:
+                    count += extra * (sub & members).bit_count()
+                count *= sizes[v]
+            total += count
         elif sub.bit_count() >= r - 1:
-            total += _count_cliques_in(adj, sub, r - 1)
+            total += sizes[v] * _count_cliques_in(adj, sub, r - 1, sizes, heavy)
     return total
 
 
+def _class_weights(g: Graph) -> tuple[list[int], tuple[tuple[int, int], ...]]:
+    """`sizes` and `heavy` for `_count_cliques_in` on g's representatives:
+    each representative's class size (1 elsewhere), and (s - 1, bitset of
+    the representatives of size-s classes) for each class size s > 1,
+    ascending.  A twin-free host gives unit sizes and no `heavy` entry."""
+    sizes = [1] * g.n
+    by_size: dict[int, int] = {}
+    for u, members in g._twin_members().items():
+        s = members.bit_count()
+        if s > 1:
+            sizes[u] = s
+            by_size[s] = by_size.get(s, 0) | 1 << u
+    return sizes, tuple((s - 1, by_size[s]) for s in sorted(by_size))
+
+
 def count_cliques(g: Graph, r: int) -> CliqueCount:
-    """Exact k_r(G).  Python integers widen automatically, so counts never
+    """Exact k_r(G), counted on the twin-class representatives weighted by
+    class size.  Python integers widen automatically, so counts never
     overflow."""
     if r < 1:
         raise ValueError("clique order must be at least 1")
     if r > g.n:
         return CliqueCount(r, 0)
-    full = (1 << g.n) - 1
-    return CliqueCount(r, _count_cliques_in(g._adj, full, r))
+    sizes, heavy = _class_weights(g)
+    return CliqueCount(r, _count_cliques_in(g._adj, g._representatives(), r, sizes, heavy))
 
 
 def _greedy_colorable(g: Graph, colors: int) -> bool:
@@ -225,16 +258,6 @@ def clique_exists(g: Graph, r: int) -> tuple[int, ...] | None:
     return None
 
 
-def _clique_bound(m_edges: int, k: int) -> int:
-    """Most k-cliques any graph with m_edges edges can have (k >= 2): the
-    clique form of the Kruskal-Katona theorem.  Writing m_edges = C(a, 2) + b
-    with 0 <= b < a, the colex graph (K_a plus one vertex joined to b of its
-    vertices) is extremal, with C(a, k) + C(b, k - 1) k-cliques."""
-    a = (1 + math.isqrt(1 + 8 * m_edges)) // 2
-    b = m_edges - a * (a - 1) // 2
-    return math.comb(a, k) + math.comb(b, k - 1)
-
-
 @dataclass(frozen=True, eq=False)
 class _ClassPairs:
     """A host's twin-class-pair table: `(-|cn|, u, v)` for the least members
@@ -286,83 +309,41 @@ def joint_size(g: Graph, r: int, with_per_edge: bool = False) -> JointReport:
     """js_r(G): max over edges of the number of r-cliques through the edge.
 
     Ties break to the lexicographically least witness edge.  With
-    `with_per_edge`, the full edge -> count map is computed (no pruning).
+    `with_per_edge`, the full edge -> count map is computed (no early stop).
     g may also be the graph's `_class_pairs` table, which is then scanned
     instead of a fresh one.
     """
     if r < 2:
         raise ValueError("joint order must be at least 2")
-    pairs = None
-    if isinstance(g, _ClassPairs):
-        pairs, g = g, g.g
-    adj = g._adj
+    pairs = g if isinstance(g, _ClassPairs) else _class_pairs(g)
+    g = pairs.g
+    adj, reps, classes = g._adj, g._representatives(), g._twin_members()
+    sizes, heavy = _class_weights(g)
     k = r - 2  # cliques of this order are counted inside common neighborhoods
-    memo: dict[int, int] = {}
-
-    def exact_count(cn: int) -> int:
-        if k == 0:
-            return 1
-        pc = cn.bit_count()
-        if k == 1:
-            return pc
-        if pc < k:
-            return 0
-        cached = memo.get(cn)
-        if cached is None:
-            cached = _count_cliques_in(adj, cn, k)
-            memo[cn] = cached
-        return cached
-
-    if with_per_edge:
-        per_edge = {e: exact_count(adj[e[0]] & adj[e[1]]) for e in g.edges()}
-        if not per_edge:
-            return JointReport(r, None, 0, {})
-        best = max(per_edge.values())
-        witness = min(e for e, c in per_edge.items() if c == best)
-        return JointReport(r, witness, best, per_edge)
-
+    per_edge: dict[tuple[int, int], int] | None = {} if with_per_edge else None
     # Twins are never adjacent, so every edge between twin classes A and B
     # has the common neighbourhood row(A) & row(B), and the least of them
-    # is (min A, min B).  One edge per class pair decides size and witness.
-    if pairs is None:
-        pairs = _class_pairs(g)
-    if not pairs.table:
-        return JointReport(r, None, 0, None)
-
-    bounds: dict[int, int] = {}  # cn -> _clique_bound of the edges inside it
+    # is (min A, min B).  One count per class pair is the count of each of
+    # its edges, and decides size and witness.
     best = -1
     witness: tuple[int, int] | None = None
     for neg_size, u, v in pairs.table:
         # C(|cn|, k) bounds the count, exactly for k <= 1, and shrinks down
         # the table, so once it falls below best no later pair can reach it.
-        ub = math.comb(-neg_size, k)
-        if ub < best:
+        bound = math.comb(-neg_size, k)
+        if bound < best and per_edge is None:
             break
-        cn = adj[u] & adj[v]
-        cnt: int | None = None
         if k <= 1:
-            cnt = ub
-        elif cn in memo:
-            cnt = memo[cn]
+            count = bound
         else:
-            if ub > best and k == 2:
-                # _clique_bound(m, 2) == m, so the bound is the exact count.
-                ub = exact_count(cn)
-            elif ub > best:
-                ub = bounds.get(cn)
-                if ub is None:
-                    ub = bounds[cn] = _clique_bound(_count_cliques_in(adj, cn, 2), k)
-            skip = ub < best or (
-                ub == best and witness is not None and witness < (u, v)
-            )
-            if not skip:
-                cnt = exact_count(cn)
-        if cnt is None:
-            continue
-        if cnt > best or (cnt == best and (witness is None or (u, v) < witness)):
-            best = cnt
+            count = _count_cliques_in(adj, adj[u] & adj[v] & reps, k, sizes, heavy)
+        if per_edge is not None:
+            for edge in _pair_edges(classes[u], classes[v]):
+                per_edge[edge] = count
+        if count > best or (count == best and (u, v) < witness):
+            best = count
             witness = (u, v)
-    return JointReport(r, witness, best, None)
+    return JointReport(r, witness, max(best, 0), per_edge)
 
 
 def _book_rec(

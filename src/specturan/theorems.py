@@ -205,12 +205,14 @@ def _verify_clique(g: Graph, vertices: Sequence[int]) -> None:
 
 def _joint_certificate(g: Graph, r: int, report: JointReport) -> dict:
     """The certificate of js_{r+1}'s witness edge, after recounting the
-    r-cliques through it independently."""
-    from .subgraph import _count_cliques_in  # independent recount
+    r-cliques through it on G itself: every vertex of the common
+    neighbourhood, unit sizes, so the recount never reads the twin classes
+    that `joint_size` weighs its counts by."""
+    from .subgraph import _count_cliques_in
 
     u, v = report.witness_edge
     cn = g.neighbors_mask(u) & g.neighbors_mask(v)
-    if _count_cliques_in(g._adj, cn, r - 1) != report.size:
+    if _count_cliques_in(g._adj, cn, r - 1, [1] * g.n, ()) != report.size:
         raise AssertionError("joint witness count does not re-validate")
     return {"type": "joint", "witness_edge": [u, v], "size": report.size}
 

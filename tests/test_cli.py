@@ -157,6 +157,33 @@ class TestCheck:
         assert rec["hypothesis"] == "no"
         assert rec["detail"]["hypothesis_resolved"] == "exact"
 
+    def test_settled_no_hypothesis_exits_zero(self, tmp_path, capsys):
+        # T_3(9) ties the stability threshold (1 - 1/3 - b) 9 = 6 at b = 0:
+        # hypothesis "no", settled exactly.  No branch is certified, so the
+        # conclusion stays open, but the theorem promises nothing here.
+        path = str(tmp_path / "t.el")
+        write_edge_list_file(make_turan(9, 3), path)
+        code, out, _ = run_cli(
+            capsys, "check", path, "--theorem", "t1.2", "--r", "3", "--b", "0"
+        )
+        rec = json.loads(out)
+        assert code == 0
+        assert rec["hypothesis"] == "no" and rec["conclusion"] == "inconclusive"
+        assert rec["detail"]["hypothesis_resolved"] == "exact"
+
+    def test_open_conclusion_under_held_hypothesis_exits_three(self, tmp_path, capsys):
+        # A K_r^+ search cut by its budget leaves t2's conclusion open on a
+        # host that meets the hypothesis.
+        path = str(tmp_path / "t.el")
+        write_edge_list_file(make_turan_plus_edge(9, 3), path)
+        code, out, _ = run_cli(
+            capsys, "check", path, "--theorem", "t2", "--r", "3", "--c", "0.6",
+            "--budget", "1",
+        )
+        rec = json.loads(out)
+        assert code == 3
+        assert rec["hypothesis"] == "yes" and rec["conclusion"] == "inconclusive"
+
     def test_negative_stability_slack_is_usage_error(self, tmp_path, capsys):
         path = str(tmp_path / "t.el")
         write_edge_list_file(make_turan_plus_edge(9, 3), path)

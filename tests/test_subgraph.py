@@ -1,9 +1,7 @@
 import gc
 import itertools
-import math
 import sys
 
-import numpy as np
 import pytest
 
 from oracles import (
@@ -13,6 +11,8 @@ from oracles import (
     brute_greedy_colorable,
     brute_has_multipartite,
     brute_joint_size,
+    brute_per_edge,
+    listed_cliques,
     reference_backtrack_color,
     reference_embedder_rows,
     reference_find_kr_plus,
@@ -35,7 +35,6 @@ from specturan.subgraph import (
     Embedding,
     _Embedder,
     _class_pairs,
-    _clique_bound,
     _edge_order,
     _greedy_colorable,
     _two_color,
@@ -175,9 +174,7 @@ class TestJointSize:
     def test_per_edge_map(self):
         g = make_kr_plus((2, 2))
         rep = joint_size(g, 3, with_per_edge=True)
-        cliques3 = all_cliques(g)[3]
-        for (u, v), cnt in rep.per_edge.items():
-            assert cnt == sum(1 for c in cliques3 if u in c and v in c)
+        assert rep.per_edge == brute_per_edge(g, all_cliques(g)[3])
 
     def test_pruned_equals_per_edge_on_random(self):
         rng = SplitMix64(21)
@@ -185,15 +182,18 @@ class TestJointSize:
             n = 4 + rng.below(5)
             m = rng.below(n * (n - 1) // 2 + 1)
             g = random_gnm(n, m, rng.next_u64())
+            cliques = all_cliques(g)
             for r in range(2, n + 1):
                 fast = joint_size(g, r)
                 full = joint_size(g, r, with_per_edge=True)
                 assert fast.size == full.size
                 assert fast.witness_edge == full.witness_edge
+                assert full.per_edge == brute_per_edge(g, cliques[r]), (g._adj, r)
+                assert listed_cliques(g, r) == cliques[r]
 
     def test_pruned_equals_per_edge_on_structured_hosts(self):
-        # Common neighbourhoods repeat on these hosts, so the pruning-bound
-        # and count memos are hit many times per call.
+        # Twin classes of every size: one weighted count per class pair
+        # serves all of its edges, and the table-order break cuts the scan.
         for r in range(2, 5):
             hosts = []
             for n in range(r, 31, 3):
@@ -210,6 +210,9 @@ class TestJointSize:
                         full.size,
                         full.witness_edge,
                     ), (g, q)
+                    # all_cliques tries every vertex subset, out of reach at
+                    # n = 30; listed_cliques visits only the cliques.
+                    assert full.per_edge == brute_per_edge(g, listed_cliques(g, q)), (g, q)
 
     @pytest.mark.parametrize("r", range(2, 6))
     def test_twin_blowups_match_brute(self, r):
@@ -239,8 +242,8 @@ class TestJointSize:
                 assert (rep.size, rep.witness_edge) == brute_joint_size(g, r), (g._adj, r)
 
     def test_js4_matches_brute_on_seeded_r3_hosts(self):
-        # Cliques of order 2 inside common neighbourhoods: the bound is the
-        # memoized exact count, hosts just around e(T_3(n)).
+        # Cliques of order 2 inside common neighbourhoods, on hosts just
+        # around e(T_3(n)).
         rng = SplitMix64(113)
         for n in range(5, 15):
             for offset in (-2, 0, 1, 3):
@@ -251,42 +254,6 @@ class TestJointSize:
             g = make_turan_plus_edge(n, 3)
             rep = joint_size(g, 4)
             assert (rep.size, rep.witness_edge) == brute_joint_size(g, 4), n
-
-
-class TestCliqueBound:
-    def test_matches_brute_force_maximum(self):
-        """Against the most k-cliques over every labelled graph on n <= 6
-        vertices with m edges: never below it, and equal to it wherever the
-        extremal colex graph (K_a plus a vertex joined to b of it, for
-        m = C(a, 2) + b, 0 <= b < a) fits on n vertices."""
-        for n in range(2, 7):
-            pairs = list(itertools.combinations(range(n), 2))
-            masks = np.arange(1 << len(pairs), dtype=np.int64)
-            edges = np.bitwise_count(masks)
-            for k in range(2, 6):
-                counts = np.zeros_like(masks)
-                for subset in itertools.combinations(range(n), k):
-                    sm = sum(1 << pairs.index(p) for p in itertools.combinations(subset, 2))
-                    counts += (masks & sm) == sm
-                for m in range(len(pairs) + 1):
-                    most = int(counts[edges == m].max())
-                    bound = _clique_bound(m, k)
-                    assert bound >= most, (n, m, k)
-                    a = max(a for a in range(n + 2) if a * (a - 1) // 2 <= m)
-                    b = m - a * (a - 1) // 2
-                    if a + (b > 0) <= n:
-                        assert bound == most, (n, m, k)
-
-    def test_edges_bound_themselves(self):
-        # Why joint_size uses the exact count as its bound for js_4.
-        assert all(_clique_bound(m, 2) == m for m in range(200_000))
-
-    def test_exact_above_float_precision(self):
-        a = 10**6 + 7
-        m = a * (a - 1) // 2
-        assert math.comb(a, 6) > 2**53
-        assert _clique_bound(m, 6) == math.comb(a, 6)
-        assert _clique_bound(m + a - 1, 6) == math.comb(a, 6) + math.comb(a - 1, 5)
 
 
 class TestBookSize:

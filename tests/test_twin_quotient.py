@@ -1,13 +1,20 @@
-"""The twin quotient each Graph keeps: validation, the cached classes and
-the clique and book searches on representatives, pinned against the
-full-vertex references in `oracles` on shuffled twin blow-ups."""
+"""The twin quotient each Graph keeps: validation, the cached classes, the
+clique and book searches on representatives and the clique and joint
+counts weighted by class size, pinned against the full-vertex references
+in `oracles` on shuffled twin blow-ups."""
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from oracles import (
+    all_cliques,
     brute_greedy_colorable,
+    brute_joint_size,
+    brute_per_edge,
+    listed_cliques,
     reference_book_size,
     reference_check_well_formed,
     reference_clique_exists,
@@ -26,7 +33,13 @@ from specturan.graph import (
     read_edge_list,
     write_edge_list,
 )
-from specturan.subgraph import _greedy_colorable, book_size, clique_exists
+from specturan.subgraph import (
+    _greedy_colorable,
+    book_size,
+    clique_exists,
+    count_cliques,
+    joint_size,
+)
 
 BLOWUP_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -144,6 +157,60 @@ class TestSearchesOnRepresentatives:
             assert clique_exists(g, r) == reference_clique_exists(g, r)
             rep = book_size(g, r)
             assert (rep.size, rep.base_clique) == reference_book_size(g, r)
+
+
+@hst.composite
+def weighted_blowups(draw):
+    """(base, sizes, two shuffled blow-ups of base by sizes): a seeded
+    G(k, m) whose vertex v becomes s_v twins, labelled by two drawn seeds.
+    Small enough for `brute_joint_size`, which tries every vertex subset."""
+    k = draw(hst.integers(min_value=1, max_value=6))
+    m = draw(hst.integers(min_value=0, max_value=k * (k - 1) // 2))
+    base = random_gnm(k, m, draw(hst.integers(min_value=0, max_value=2**32)))
+    sizes = draw(hst.lists(hst.integers(1, 3), min_size=k, max_size=k))
+    hosts = [
+        Graph(sum(sizes), shuffled_twin_blowup(base, sizes, seed)[0])
+        for seed in draw(hst.lists(hst.integers(0, 2**32), min_size=2, max_size=2))
+    ]
+    return base, sizes, hosts
+
+
+class TestWeightedCounts:
+    """k_q and js_q are counted once on the representatives, weighted by
+    class size; these laws hold them to counts on the whole blow-up."""
+
+    @given(weighted_blowups())
+    @BLOWUP_SETTINGS
+    def test_clique_count_is_the_weighted_base_count(self, case):
+        base, sizes, hosts = case
+        base_cliques = all_cliques(base)
+        for q in range(1, 7):
+            expected = sum(
+                math.prod(sizes[v] for v in c) for c in base_cliques.get(q, [])
+            )
+            for g in hosts:
+                assert count_cliques(g, q).count == expected, (sizes, q)
+
+    @given(weighted_blowups())
+    @BLOWUP_SETTINGS
+    def test_joint_size_and_per_edge_match_brute(self, case):
+        _, sizes, hosts = case
+        g = hosts[0]
+        for q in range(2, 6):
+            rep = joint_size(g, q)
+            assert (rep.size, rep.witness_edge) == brute_joint_size(g, q), (sizes, q)
+            full = joint_size(g, q, with_per_edge=True)
+            assert (full.size, full.witness_edge) == (rep.size, rep.witness_edge)
+            assert full.per_edge == brute_per_edge(g, listed_cliques(g, q)), (sizes, q)
+
+    @given(weighted_blowups())
+    @BLOWUP_SETTINGS
+    def test_counts_survive_relabelling(self, case):
+        _, _, (g, h) = case
+        for q in range(1, 7):
+            assert count_cliques(g, q) == count_cliques(h, q)
+        for q in range(2, 7):
+            assert joint_size(g, q).size == joint_size(h, q).size
 
 
 def _assert_stored_form(g: Graph) -> None:
