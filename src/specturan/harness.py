@@ -31,6 +31,15 @@ verdict and the tie log stays auditable.
 The family sweep and the random hunt record what one `theorems.run_checks`
 call returns per graph: mu, the Turan reference, its exact tie settlement
 and js_{r+1} are computed once per graph.  Nothing is kept across graphs.
+
+Each order n of a family sweep, random hunt or tightness study is a cell
+of its own: a module-level function of the config and n that returns
+the order's slice of the report.  `_cells` runs the cells in worker processes
+forked from this one, one per CPU in the process's affinity set, and the
+slices are joined in increasing n, so the report is the same bytes for any
+worker count; `taskset -c 0` runs every cell in process.  The sidecar
+records the worker count.  Exhaustive scans stay in process (see
+`run_exhaustive`).
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -226,6 +236,7 @@ class ExperimentReport:
     inconclusive_log: list[dict]
     stats: dict
     wall_time: float = 0.0
+    workers: int = 1  # processes that ran the per-order cells
 
     def to_json_text(self) -> str:
         body = {
@@ -241,8 +252,89 @@ class ExperimentReport:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json_text())
         with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-            json.dump({"wall_time_seconds": self.wall_time}, fh)
+            json.dump({"wall_time_seconds": self.wall_time, "workers": self.workers}, fh)
             fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# Per-order cells across the process's CPUs
+# ---------------------------------------------------------------------------
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, so `taskset -c 0` runs every cell in process."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _call(job: tuple[Callable, tuple]):
+    fn, args = job
+    return fn(*args)
+
+
+def _cells(fn: Callable, jobs: Sequence[tuple]) -> tuple[list, int]:
+    """([fn(*job) for job in jobs], the number of processes that ran them).
+
+    `fn` is a module-level function and `jobs` its argument tuples in
+    report order, one per order n, each costlier than the one before.  One
+    worker per CPU in the affinity set, and no more than there are jobs,
+    each forked from this process: a worker starts from the parent's
+    imports (and a test's patches) in milliseconds, where a fresh
+    interpreter would import numpy again for every experiment.  Jobs are
+    dispatched costliest first, one at a time, and the results are put
+    back in report order, so the report does not depend on the worker
+    count.  With one worker, or no `fork` on the platform, the jobs run
+    in this process.  The pool is joined before this returns or re-raises
+    a cell's exception, so no worker outlives the call.
+    """
+    workers = min(_cpu_count(), len(jobs))
+    if workers > 1:
+        import multiprocessing  # not at module import: it costs ~10 ms
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = multiprocessing.get_context("fork").Pool(workers)
+            try:
+                costliest_first = [(fn, job) for job in reversed(jobs)]
+                results = list(pool.imap(_call, costliest_first, chunksize=1))
+                pool.close()
+            except BaseException:
+                pool.terminate()
+                raise
+            finally:
+                pool.join()
+            return results[::-1], workers
+    return [fn(*job) for job in jobs], 1
+
+
+def _run_cells(
+    cfg: ExperimentConfig, cell: Callable, jobs: list[tuple], stats: tuple[str, ...]
+) -> ExperimentReport:
+    """The report of a mode whose orders are cells (see `_cells`).  Each
+    cell returns its order's slice: "instances", the lists
+    "counterexamples" and "inconclusive_log" where it has entries, and the
+    lists named in `stats`; the slices are joined in report order."""
+    t0 = time.monotonic()
+    cells, workers = _cells(cell, jobs)
+    out: dict = {"instances": 0, "counterexamples": [], "inconclusive_log": []}
+    out.update((key, []) for key in stats)
+    for part in cells:
+        for key, value in part.items():
+            out[key] += value
+    report = ExperimentReport(
+        cfg.to_dict(),
+        out["instances"],
+        out["counterexamples"],
+        out["inconclusive_log"],
+        {key: out[key] for key in stats},
+        time.monotonic() - t0,
+        workers,
+    )
+    if cfg.output_path:
+        report.write(cfg.output_path)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +647,12 @@ def _sample_masks(total: int, cap: int, seed: int) -> np.ndarray:
 
 
 def run_exhaustive(cfg: ExperimentConfig) -> ExperimentReport:
-    """All labeled graphs of each order in range (or a seeded sample)."""
+    """All labeled graphs of each order in range (or a seeded sample).
+
+    The orders run one after another in this process, not as `_cells`: a
+    full order-8 scan holds a 256 MiB visited array, and two scans side
+    by side would hold two.
+    """
     t0 = time.monotonic()
     counterexamples: list[dict] = []
     log: list[dict] = []
@@ -621,9 +718,8 @@ def _verdict_digest(check: str, family: str, n: int, v: TheoremVerdict) -> dict:
     }
 
 
-def run_family_sweep(cfg: ExperimentConfig) -> ExperimentReport:
-    """Structured families T_r(n), T_r(n)+e, T_r(n)-e across the n range."""
-    t0 = time.monotonic()
+def _sweep_cell(cfg: ExperimentConfig, n: int) -> dict:
+    """One order of `run_family_sweep`: its slice of the report."""
     counterexamples: list[dict] = []
     log: list[dict] = []
     instance_rows: list[dict] = []
@@ -631,92 +727,138 @@ def run_family_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     instances = 0
     tids = [TheoremId(check) for check in cfg.checks]
     given = dict(tol=cfg.tol, budget=cfg.budget, c=cfg.c if cfg.c > 0 else None, b=cfg.b)
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        for family in cfg.families:
-            g = _family_graph(family, n, cfg.r)
-            if g is None:
-                continue
-            verdicts = run_checks(tids, g, cfg.r, **given)
-            for check, v in zip(cfg.checks, verdicts):
-                instances += 1
-                if v.is_counterexample:
-                    counterexamples.append(v.to_json_dict())
-                if (
-                    v.hypothesis is TriState.INCONCLUSIVE
-                    or v.conclusion is TriState.INCONCLUSIVE
-                ):
-                    log.append(_verdict_digest(check, family, n, v))
-                instance_rows.append(_verdict_digest(check, family, n, v))
-            if family == "turan_plus_e":
-                report = joint_size(g, cfg.r + 1)
-                book = book_size(g, cfg.r)
-                js_stats.append(
-                    {
-                        "n": n,
-                        "js": report.size,
-                        "witness_edge": list(report.witness_edge)
-                        if report.witness_edge
-                        else None,
-                        "book_size": book.size,
-                    }
-                )
-    report = ExperimentReport(
-        cfg.to_dict(),
-        instances,
-        counterexamples,
-        log,
-        {"verdicts": instance_rows, "turan_plus_e_joints": js_stats},
-        time.monotonic() - t0,
-    )
-    if cfg.output_path:
-        report.write(cfg.output_path)
-    return report
+    for family in cfg.families:
+        g = _family_graph(family, n, cfg.r)
+        if g is None:
+            continue
+        verdicts = run_checks(tids, g, cfg.r, **given)
+        for check, v in zip(cfg.checks, verdicts):
+            instances += 1
+            if v.is_counterexample:
+                counterexamples.append(v.to_json_dict())
+            if (
+                v.hypothesis is TriState.INCONCLUSIVE
+                or v.conclusion is TriState.INCONCLUSIVE
+            ):
+                log.append(_verdict_digest(check, family, n, v))
+            instance_rows.append(_verdict_digest(check, family, n, v))
+        if family == "turan_plus_e":
+            report = joint_size(g, cfg.r + 1)
+            book = book_size(g, cfg.r)
+            js_stats.append(
+                {
+                    "n": n,
+                    "js": report.size,
+                    "witness_edge": list(report.witness_edge)
+                    if report.witness_edge
+                    else None,
+                    "book_size": book.size,
+                }
+            )
+    return {
+        "instances": instances,
+        "counterexamples": counterexamples,
+        "inconclusive_log": log,
+        "verdicts": instance_rows,
+        "turan_plus_e_joints": js_stats,
+    }
+
+
+def run_family_sweep(cfg: ExperimentConfig) -> ExperimentReport:
+    """Structured families T_r(n), T_r(n)+e, T_r(n)-e across the n range."""
+    jobs = [(cfg, n) for n in range(cfg.n_min, cfg.n_max + 1)]
+    return _run_cells(cfg, _sweep_cell, jobs, ("verdicts", "turan_plus_e_joints"))
+
+
+def _trial_seeds(cfg: ExperimentConfig) -> list[int]:
+    base = SplitMix64(cfg.seed)
+    return [base.next_u64() for _ in range(cfg.trials)]
+
+
+def _hunt_cell(cfg: ExperimentConfig, n: int, trial_seeds: list[int]) -> dict:
+    """One order of `run_random_hunt`: its slice of the report."""
+    counterexamples: list[dict] = []
+    log: list[dict] = []
+    instances = 0
+    tids = [TheoremId(check) for check in cfg.checks]
+    given = dict(tol=cfg.tol, budget=cfg.budget, c=cfg.c if cfg.c > 0 else None, b=cfg.b)
+    max_m = n * (n - 1) // 2
+    m = min(max(turan_edge_count(n, cfg.r) + cfg.m_offset, 0), max_m)
+    hyp_yes = 0
+    concl_yes = 0
+    for t, s in enumerate(trial_seeds):
+        g = random_gnm(n, m, s)
+        verdicts = run_checks(tids, g, cfg.r, **given)
+        for check, v in zip(cfg.checks, verdicts):
+            instances += 1
+            if v.is_counterexample:
+                counterexamples.append(v.to_json_dict())
+            if (
+                v.hypothesis is TriState.INCONCLUSIVE
+                or v.conclusion is TriState.INCONCLUSIVE
+            ):
+                log.append({"n": n, "trial": t, "check": check})
+            hyp_yes += v.hypothesis is TriState.YES
+            concl_yes += v.conclusion is TriState.YES
+    summary = {"n": n, "m": m, "hypothesis_yes": hyp_yes, "conclusion_yes": concl_yes}
+    return {
+        "instances": instances,
+        "counterexamples": counterexamples,
+        "inconclusive_log": log,
+        "per_n": [summary],
+    }
 
 
 def run_random_hunt(cfg: ExperimentConfig) -> ExperimentReport:
     """Seeded G(n, m) samples near the Turan edge count, all checks applied."""
-    t0 = time.monotonic()
-    counterexamples: list[dict] = []
-    log: list[dict] = []
+    seeds = _trial_seeds(cfg)
+    jobs = [(cfg, n, seeds) for n in range(cfg.n_min, cfg.n_max + 1)]
+    return _run_cells(cfg, _hunt_cell, jobs, ("per_n",))
+
+
+def _tightness_cell(cfg: ExperimentConfig, n: int, trial_seeds: list[int]) -> dict:
+    """One order of `run_tightness`: its slice of the report."""
     instances = 0
-    summaries: list[dict] = []
-    base = SplitMix64(cfg.seed)
-    trial_seeds = [base.next_u64() for _ in range(cfg.trials)]
-    tids = [TheoremId(check) for check in cfg.checks]
-    given = dict(tol=cfg.tol, budget=cfg.budget, c=cfg.c if cfg.c > 0 else None, b=cfg.b)
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        max_m = n * (n - 1) // 2
-        m = min(max(turan_edge_count(n, cfg.r) + cfg.m_offset, 0), max_m)
-        hyp_yes = 0
-        concl_yes = 0
-        for t, s in enumerate(trial_seeds):
-            g = random_gnm(n, m, s)
-            verdicts = run_checks(tids, g, cfg.r, **given)
-            for check, v in zip(cfg.checks, verdicts):
-                instances += 1
-                if v.is_counterexample:
-                    counterexamples.append(v.to_json_dict())
-                if (
-                    v.hypothesis is TriState.INCONCLUSIVE
-                    or v.conclusion is TriState.INCONCLUSIVE
-                ):
-                    log.append({"n": n, "trial": t, "check": check})
-                hyp_yes += v.hypothesis is TriState.YES
-                concl_yes += v.conclusion is TriState.YES
-        summaries.append(
-            {"n": n, "m": m, "hypothesis_yes": hyp_yes, "conclusion_yes": concl_yes}
-        )
-    report = ExperimentReport(
-        cfg.to_dict(),
-        instances,
-        counterexamples,
-        log,
-        {"per_n": summaries},
-        time.monotonic() - t0,
-    )
-    if cfg.output_path:
-        report.write(cfg.output_path)
-    return report
+    max_m = n * (n - 1) // 2
+    m = min(math.ceil((1.0 - cfg.epsilon) * n * n / 2.0), max_m)
+    threshold = (1 - Fraction(cfg.epsilon)) * n
+    mu_greater = 0
+    mu_open = 0
+    max_s_list: list[int] = []
+    stop_reason: list[str] = []
+    for s_seed in trial_seeds:
+        g = random_gnm(n, m, s_seed)
+        instances += 1
+        cmp = compare_mu_to_threshold(g, threshold, cfg.tol)
+        if cmp.verdict is Verdict.GREATER:
+            mu_greater += 1
+        elif cmp.verdict is Verdict.INCONCLUSIVE:
+            mu_open += 1
+        best_s = 0
+        reason = "absent"
+        s = 1
+        while 2 * s <= n:
+            res = find_complete_multipartite(g, (s, s), budget=cfg.budget)
+            if res.status is SearchStatus.FOUND:
+                best_s = s
+                s += 1
+                continue
+            reason = "budget" if res.status is SearchStatus.BUDGET else "absent"
+            break
+        max_s_list.append(best_s)
+        stop_reason.append(reason)
+    row = {
+        "n": n,
+        "m": m,
+        "mu_greater_fraction": mu_greater / max(1, cfg.trials),
+        "mu_inconclusive": mu_open,
+        "max_biclique_s": max_s_list,
+        "stop_reason": stop_reason,
+        "c_equivalent_of_max_s": [
+            s / math.log(n) if n > 1 else 0.0 for s in max_s_list
+        ],
+    }
+    return {"instances": instances, "per_n": [row]}
 
 
 def run_tightness(cfg: ExperimentConfig) -> ExperimentReport:
@@ -726,59 +868,9 @@ def run_tightness(cfg: ExperimentConfig) -> ExperimentReport:
     A statistical report (the underlying remark is asymptotic), not a
     pass/fail checker.
     """
-    t0 = time.monotonic()
-    instances = 0
-    per_n: list[dict] = []
-    base = SplitMix64(cfg.seed)
-    trial_seeds = [base.next_u64() for _ in range(cfg.trials)]
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        max_m = n * (n - 1) // 2
-        m = min(math.ceil((1.0 - cfg.epsilon) * n * n / 2.0), max_m)
-        threshold = (1 - Fraction(cfg.epsilon)) * n
-        mu_greater = 0
-        mu_open = 0
-        max_s_list: list[int] = []
-        stop_reason: list[str] = []
-        for s_seed in trial_seeds:
-            g = random_gnm(n, m, s_seed)
-            instances += 1
-            cmp = compare_mu_to_threshold(g, threshold, cfg.tol)
-            if cmp.verdict is Verdict.GREATER:
-                mu_greater += 1
-            elif cmp.verdict is Verdict.INCONCLUSIVE:
-                mu_open += 1
-            best_s = 0
-            reason = "absent"
-            s = 1
-            while 2 * s <= n:
-                res = find_complete_multipartite(g, (s, s), budget=cfg.budget)
-                if res.status is SearchStatus.FOUND:
-                    best_s = s
-                    s += 1
-                    continue
-                reason = "budget" if res.status is SearchStatus.BUDGET else "absent"
-                break
-            max_s_list.append(best_s)
-            stop_reason.append(reason)
-        per_n.append(
-            {
-                "n": n,
-                "m": m,
-                "mu_greater_fraction": mu_greater / max(1, cfg.trials),
-                "mu_inconclusive": mu_open,
-                "max_biclique_s": max_s_list,
-                "stop_reason": stop_reason,
-                "c_equivalent_of_max_s": [
-                    s / math.log(n) if n > 1 else 0.0 for s in max_s_list
-                ],
-            }
-        )
-    report = ExperimentReport(
-        cfg.to_dict(), instances, [], [], {"per_n": per_n}, time.monotonic() - t0
-    )
-    if cfg.output_path:
-        report.write(cfg.output_path)
-    return report
+    seeds = _trial_seeds(cfg)
+    jobs = [(cfg, n, seeds) for n in range(cfg.n_min, cfg.n_max + 1)]
+    return _run_cells(cfg, _tightness_cell, jobs, ("per_n",))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

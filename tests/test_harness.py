@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -831,6 +832,26 @@ PER_GRAPH_CHECKS = (
     "stt", "t1", "t2", "t3", "t1.2", "t2.2", "t3.2",
     "lenslmm", "lekd", "thv4", "edge-spectral", "book",
 )
+# (file under tests/data, the config that recorded it)
+RECORDED = [
+    (
+        f"random_hunt_r{r}.json",
+        dict(
+            mode="random_hunt", r=r, n_min=6, n_max=30, trials=4,
+            checks=HUNT_CHECKS, c=0.6, seed=2, m_offset=-1,
+        ),
+    )
+    for r in (2, 3)
+] + [
+    (
+        f"family_sweep_r{r}.json",
+        dict(
+            mode="family_sweep", r=r, n_min=2, n_max=12,
+            checks=PER_GRAPH_CHECKS, c=0.6, b=0.0,
+        ),
+    )
+    for r in (2, 3)
+]
 
 
 class TestOneAnalysisPerGraph:
@@ -879,6 +900,9 @@ class TestOneAnalysisPerGraph:
         assert all(v.detail["hypothesis_resolved"] == "exact" for v in verdicts)
 
     def test_one_estimate_and_joint_per_graph(self, monkeypatch):
+        # Counters bumped in a forked worker never reach this process, so
+        # every order runs here.
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
         calls: Counter = Counter()
 
         def counting(key, fn):
@@ -913,31 +937,100 @@ class TestOneAnalysisPerGraph:
         run_experiment(cfg)
         assert calls == {key: 2 * count for key, count in once.items()}
 
-    @pytest.mark.parametrize(
-        "recorded, settings",
-        [
-            (
-                f"random_hunt_r{r}.json",
-                dict(
-                    mode="random_hunt", r=r, n_min=6, n_max=30, trials=4,
-                    checks=HUNT_CHECKS, c=0.6, seed=2, m_offset=-1,
-                ),
-            )
-            for r in (2, 3)
-        ]
-        + [
-            (
-                f"family_sweep_r{r}.json",
-                dict(
-                    mode="family_sweep", r=r, n_min=2, n_max=12,
-                    checks=PER_GRAPH_CHECKS, c=0.6, b=0.0,
-                ),
-            )
-            for r in (2, 3)
-        ],
-    )
+    @pytest.mark.parametrize("recorded, settings", RECORDED)
     def test_report_matches_per_check_recording(self, recorded, settings):
         # Recorded from the harness that ran every check on its own.
         got = json.loads(run_experiment(ExperimentConfig(**settings)).to_json_text())
         want = json.loads((DATA / recorded).read_text())
         assert got == _approx_floats(want)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(harness, "_cpu_count", lambda: count)
+
+
+SMALL_RUNS = {
+    "family_sweep": dict(mode="family_sweep", n_min=4, n_max=11, r=3, checks=("stt", "t1")),
+    "random_hunt": dict(
+        mode="random_hunt", n_min=6, n_max=11, r=2, checks=("stt", "t1.2"), trials=3
+    ),
+    "tightness": dict(mode="tightness", n_min=6, n_max=11, trials=2, budget=10**5),
+}
+
+
+class TestCellsAcrossProcesses:
+    """Family sweeps, random hunts and tightness studies run their orders
+    in forked workers, one per CPU in the affinity set."""
+
+    @pytest.mark.parametrize(
+        "settings",
+        [settings for _, settings in RECORDED]
+        + [
+            dict(
+                mode="tightness", n_min=8, n_max=20, trials=3, epsilon=0.5,
+                seed=17, budget=10**6,
+            ),
+            # One order: one job, so one worker whatever the CPU count.
+            dict(
+                mode="random_hunt", n_min=12, n_max=12, r=3, trials=4,
+                checks=HUNT_CHECKS, c=0.6, seed=5,
+            ),
+        ],
+    )
+    def test_report_does_not_depend_on_worker_count(self, settings, monkeypatch):
+        cfg = ExperimentConfig(**settings)
+        reports = []
+        for count in (1, 2):
+            _cpus(monkeypatch, count)
+            reports.append(run_experiment(cfg))
+        assert reports[0].to_json_text() == reports[1].to_json_text()
+        one_order = cfg.n_min == cfg.n_max
+        assert [rep.workers for rep in reports] == [1, 1 if one_order else 2]
+
+    @pytest.mark.parametrize("mode", sorted(SMALL_RUNS))
+    def test_no_worker_outlives_a_mode(self, mode, monkeypatch):
+        _cpus(monkeypatch, 2)
+        assert run_experiment(ExperimentConfig(**SMALL_RUNS[mode])).workers == 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "mode, checker, host",  # host: the position of the graph argument
+        [
+            ("family_sweep", "run_checks", 1),
+            ("random_hunt", "run_checks", 1),
+            ("tightness", "compare_mu_to_threshold", 0),
+        ],
+    )
+    def test_a_failing_cell_raises_in_the_caller(self, mode, checker, host, monkeypatch):
+        real = getattr(harness, checker)
+
+        def failing(*args, **kwargs):
+            n = args[host].n
+            if n == 9:
+                raise ArithmeticError(f"checker failed at n={n}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, checker, failing)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(ArithmeticError, match=r"^checker failed at n=9$") as info:
+            run_experiment(ExperimentConfig(**SMALL_RUNS[mode]))
+        assert info.type is ArithmeticError
+        assert multiprocessing.active_children() == []
+
+    def test_sidecar_records_workers_and_report_does_not(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 2)
+        hunt = tmp_path / "hunt.json"
+        run_experiment(ExperimentConfig(**SMALL_RUNS["random_hunt"], output_path=str(hunt)))
+        scan = tmp_path / "scan.json"
+        run_experiment(
+            ExperimentConfig(mode="exhaustive", n_min=3, n_max=5, output_path=str(scan))
+        )
+        for path, workers in ((hunt, 2), (scan, 1)):
+            meta = json.loads(Path(f"{path}.meta.json").read_text())
+            assert set(meta) == {"wall_time_seconds", "workers"}
+            assert meta["workers"] == workers
+            report = json.loads(path.read_text())
+            assert set(report) == {
+                "config", "counterexamples", "inconclusive_log", "instances_checked", "stats"
+            }
+            assert "workers" not in report["config"]
