@@ -258,9 +258,15 @@ class Graph:
                 raise ValueError(f"vertex {v} out of range for n={self.n}")
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertices in subset")
+        return Graph(len(vertices), self._induced_rows(vertices))
+
+    def _induced_rows(self, vertices: Sequence[int]) -> list[int]:
+        """The rows of the induced subgraph on `vertices` (distinct, in
+        range), relabelled 0..k-1 in the order given, from one permuted
+        bit matrix and without building or validating a graph."""
         idx = np.array(vertices, dtype=np.intp).reshape(-1)
         packed = np.packbits(self._bit_matrix(idx)[:, idx], axis=1, bitorder="little")
-        return Graph(len(idx), [int.from_bytes(row.tobytes(), "little") for row in packed])
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, sorted by minimum vertex."""

@@ -22,11 +22,16 @@ one order at once.  It hands to `spectral_radius` a disconnected graph
 still running at `_SHIFT_STEP`, whose components with close mu separate
 slowly on the whole matrix (at n = 7 that ends the batch at step 100
 instead of 333), and any graph unconverged at the cap.
-Both loops stop by `_converged`.  For complete multipartite graphs the
-nontrivial eigenvalues solve sum_i s_i/(lam + s_i) = 1, which is strictly
-decreasing in lam, so the largest eigenvalue comes out of a bisection with
-no linear-algebra dependency; that solver doubles as an independent oracle
-for the power iteration.
+Both loops stop by `_converged`.  The per-component loop computes the
+residual only on a step whose Rayleigh quotient moved by less than tol,
+or on the step at `max_iter`: those are the only steps where
+`_converged` can read it, and the one step whose residual is returned.
+The batched loop computes it for every graph on every step.  For
+complete multipartite graphs the nontrivial eigenvalues solve
+sum_i s_i/(lam + s_i) = 1, which is strictly decreasing in lam, so the
+largest eigenvalue comes out of a bisection with no linear-algebra
+dependency; that solver doubles as an independent oracle for the power
+iteration.
 
 Every comparison goes through `interval_flags`: the estimate is widened by
 its residual, the reference by a tolerance, and overlapping intervals never
@@ -182,11 +187,14 @@ def _component_power_iteration(
             rho_prev += raise_by
         y = a @ x + x
         rho = float(x @ y)
-        res = float(np.max(np.abs(y - rho * x) / root))
         iters += 1
-        converged = _converged(rho, rho_prev, res, tol)
-        if converged or iters == max_iter:
-            break
+        # The residual is read only where the quotient has settled, or at
+        # the cap, where it is returned.
+        if abs(rho - rho_prev) < tol or iters == max_iter:
+            res = float(np.max(np.abs(y - rho * x) / root))
+            converged = _converged(rho, rho_prev, res, tol)
+            if converged or iters == max_iter:
+                break
         rho_prev = rho
         x = y / np.linalg.norm(y)
     return rho - shift, res, iters, converged, x

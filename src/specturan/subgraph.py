@@ -20,7 +20,13 @@ is the scan's one early stop.
 Those class pairs form one table per host (`_class_pairs`), read off the
 classes the graph stores: an entry (-|cn|, u, v) for the least members
 u < v of each adjacent class pair, sorted, with cn = row(u) & row(v)
-recomputed by one AND where needed.  `joint_size` scans it and stops at
+recomputed by one AND where needed.  It is built in numpy: the
+representatives' rows packed into 64-bit words, a block of rows at a time
+finds its adjacent representatives above it and counts each pair's |cn|
+by one AND and `np.bitwise_count`, each block gathering at most
+`_POPCOUNT_BLOCK_BYTES` per operand, so no k x k matrix is formed even
+at k = 4096.  Each block's pairs are sorted in numpy and the blocks'
+sorted runs merged.  `joint_size` scans it and stops at
 the first entry whose bound C(|cn|, k) falls below the best count so far;
 with `with_per_edge` it scans every entry and gives each pair's count to
 all edges between its classes.  `find_kr_plus` tries part-1 edges in the
@@ -33,7 +39,14 @@ edges touches only those.  Both functions take the table in place of the
 graph, which lets one per-graph analysis build it once for both.
 
 2-coloring grows BFS layers as bitsets, O(n) big-int ORs whatever the
-edge count; an edge inside a layer proves an odd cycle.
+edge count; an edge inside a layer proves an odd cycle.  `is_r_partite`
+also takes an `_InducedView` (a host, its members ascending and their
+alive bitset) in place of a graph, and colours G[members] on the host's
+rows masked by the bitset, with the result of the built subgraph,
+colouring and node count included.  The stability peel evicts from one
+such view instead of building G[members] at every step.  The K_r^+
+embedder takes its degree-sorted rows from one permuted bit matrix,
+without building a graph.
 
 `clique_exists` and `book_size` search only the least member of each
 twin class, which the graph keeps from its validation: the least clique,
@@ -53,10 +66,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .graph import Graph, PartSpec, _bit_indices
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_COLOR_CAP = 10**7
+# Bytes of packed rows that one block of `_class_pairs` gathers per operand.
+_POPCOUNT_BLOCK_BYTES = 1 << 20
 
 
 class SearchStatus(Enum):
@@ -270,16 +287,38 @@ class _ClassPairs:
 
 def _class_pairs(g: Graph) -> _ClassPairs:
     """The class-pair table of g, which `joint_size` scans and `find_kr_plus`
-    walks; either takes it in place of the graph."""
+    walks; either takes it in place of the graph.
+
+    The representatives' rows are packed into 64-bit words, and a block of
+    consecutive rows at a time finds its adjacent representatives above it
+    and counts each pair's common neighbourhood by one AND and
+    `np.bitwise_count`.  A block holds as many rows as keeps each gathered
+    operand within `_POPCOUNT_BLOCK_BYTES`.  A block's pairs come out
+    lexicographically, so a stable sort by descending count puts them in
+    table order; with more than one block, one list sort merges the
+    blocks' sorted runs."""
+    reps = list(g._twin_members())
+    k = len(reps)
+    width = 8 * ((g.n + 63) // 64)
     adj = g._adj
-    reps = g._representatives()
-    table = []
-    for u in _bit_indices(reps):
-        row = adj[u]
-        for w in _bit_indices((row & reps) >> (u + 1)):
-            v = u + 1 + w
-            table.append((-(row & adj[v]).bit_count(), u, v))
-    table.sort()
+    words = np.frombuffer(
+        b"".join(adj[u].to_bytes(width, "little") for u in reps), dtype=np.uint64
+    ).reshape(k, width // 8)
+    cols = np.array(reps, dtype=np.intp)
+    step = max(1, _POPCOUNT_BLOCK_BYTES // max(1, k * width))
+    table: list[tuple[int, int, int]] = []
+    for start in range(0, k, step):
+        block = words[start : start + step].view(np.uint8)
+        i, j = np.nonzero(np.unpackbits(block, axis=1, bitorder="little")[:, cols])
+        i += start
+        above = j > i
+        i, j = i[above], j[above]
+        neg = -np.bitwise_count(words[i] & words[j]).sum(axis=1, dtype=np.int64)
+        order = np.argsort(neg, kind="stable")
+        u, v = cols[i[order]], cols[j[order]]
+        table.extend(zip(neg[order].tolist(), u.tolist(), v.tolist()))
+    if step < k:
+        table.sort()  # merges the blocks' sorted runs
     return _ClassPairs(g, table)
 
 
@@ -435,6 +474,8 @@ def validate_embedding(
 class _Embedder:
     """Backtracking part-filler over a degree-sorted relabeling of the host.
 
+    Its rows are the host's, relabelled by descending degree (ties by
+    index) in one permuted bit matrix, with no graph built or validated.
     Parts are filled one at a time; the candidate pool for part j is the
     intersection of the neighborhoods of everything placed in parts < j,
     which excludes those vertices automatically.  Exhausted subproblems are
@@ -451,7 +492,7 @@ class _Embedder:
         for new, old in enumerate(order):
             to_new[old] = new
         self.to_new = to_new
-        self.adj = g.induced_subgraph(order)._adj
+        self.adj = g._induced_rows(order)
         self.budget = budget
         self.nodes = 0
         self.memo_failed: set[tuple[int, int]] = set()
@@ -600,14 +641,53 @@ def find_kr_plus(
     return SearchResult(SearchStatus.ABSENT, None, emb.nodes)
 
 
-def _two_color(g: Graph) -> tuple[int, ...] | None:
+class _InducedView:
+    """G[members] read on the host's rows instead of built: the host `g`,
+    its `members` in ascending order and their bitset `alive`.  Vertex i
+    of the view is members[i].  The relabelling keeps order, so every
+    lowest-index tie falls as on `g.induced_subgraph(members)`, and
+    `is_r_partite` takes the view in place of that graph.  `evict` drops
+    one member."""
+
+    __slots__ = ("g", "members", "alive")
+
+    def __init__(self, g: Graph, members: list[int]) -> None:
+        self.g = g
+        self.members = members
+        self.alive = 0
+        for v in members:
+            self.alive |= 1 << v
+
+    @property
+    def n(self) -> int:
+        return len(self.members)
+
+    def evict(self, v: int) -> None:
+        self.members.remove(v)
+        self.alive ^= 1 << v
+
+
+def _rows_of(g: Graph | _InducedView) -> tuple[Sequence[int], Sequence[int]]:
+    """(vertices, rows) on the host's labels: the vertices ascending, and
+    rows indexed by host vertex, each vertex's row cut down to the
+    vertices.  A graph is its own host, with its own rows."""
+    if isinstance(g, Graph):
+        return range(g.n), g._adj
+    adj, alive = g.g._adj, g.alive
+    rows = [0] * len(adj)
+    for v in g.members:
+        rows[v] = adj[v] & alive
+    return g.members, rows
+
+
+def _two_color(g: Graph | _InducedView) -> tuple[int, ...] | None:
     """The 2-coloring giving each component's least vertex color 0, or
     None.  Colors are BFS-layer parities, grown one bitset layer at a
     time; an edge inside a layer closes an odd cycle."""
-    adj = g._adj
+    vertices, adj = _rows_of(g)
     seen = 0
     odd = 0
-    for start in range(g.n):
+    for start in vertices:
         if (seen >> start) & 1:
             continue
         layer = 1 << start
@@ -623,10 +703,10 @@ def _two_color(g: Graph) -> tuple[int, ...] | None:
                 odd |= layer
             layer = reach & ~seen
             parity ^= 1
-    colors = [0] * g.n
+    colors = [0] * len(adj)
     for v in _bit_indices(odd):
         colors[v] = 1
-    return tuple(colors)
+    return tuple(colors[v] for v in vertices)
 
 
 class _CapHit(Exception):
@@ -636,15 +716,16 @@ class _CapHit(Exception):
 class _Colorer:
     """Saturation-ordered backtracking r-coloring with a node cap: the next
     vertex has the most distinct neighbour colours, then the highest degree,
-    and new colours are opened in first-use order only."""
+    and new colours are opened in first-use order only.  It colours a
+    graph or an induced view on the host's labels (`_rows_of`)."""
 
-    def __init__(self, g: Graph, r: int, node_cap: int) -> None:
-        self.adj = g._adj
+    def __init__(self, g: Graph | _InducedView, r: int, node_cap: int) -> None:
+        self.vertices, self.adj = _rows_of(g)
         self.r = r
         self.node_cap = node_cap
-        self.colors = [-1] * g.n
-        self.neighbor_colors = [0] * g.n  # bitmask of colors used in each nbhd
-        self.degrees = g.degrees()
+        self.colors = [-1] * len(self.adj)
+        self.neighbor_colors = [0] * len(self.adj)  # colors used in each nbhd
+        self.degrees = [row.bit_count() for row in self.adj]
         self.nodes = 0
 
     def pick(self) -> int:
@@ -652,7 +733,7 @@ class _Colorer:
         degrees = self.degrees
         best_v = -1
         best_key = (-1, -1)
-        for v in range(len(colors)):
+        for v in self.vertices:
             if colors[v] != -1:
                 continue
             key = (neighbor_colors[v].bit_count(), degrees[v])
@@ -674,7 +755,7 @@ class _Colorer:
         colors, neighbor_colors, adj = self.colors, self.neighbor_colors, self.adj
         frames: list[list] = []
         used = 0
-        while len(frames) < len(colors):
+        while len(frames) < len(self.vertices):
             v = self.pick()
             limit = min(self.r, used + 1)
             frames.append([v, ~neighbor_colors[v] & ((1 << limit) - 1), used, []])
@@ -711,10 +792,12 @@ class _Colorer:
 
 
 def is_r_partite(
-    g: Graph, r: int, node_cap: int = DEFAULT_COLOR_CAP
+    g: Graph | _InducedView, r: int, node_cap: int = DEFAULT_COLOR_CAP
 ) -> ColoringResult:
     """Exact r-colorability: BFS for r = 2, saturation-ordered backtracking
-    with a node cap for r >= 3.  Cap exhaustion is a distinct outcome."""
+    with a node cap for r >= 3.  Cap exhaustion is a distinct outcome.
+    g may be an `_InducedView`: the result is that of its induced
+    subgraph, colouring and node count included."""
     if r < 1:
         raise ValueError("color count must be at least 1")
     if g.n == 0:
@@ -722,7 +805,8 @@ def is_r_partite(
     if r >= g.n:
         return ColoringResult(SearchStatus.FOUND, tuple(range(g.n)))
     if r == 1:
-        if g.edge_count() == 0:
+        vertices, rows = _rows_of(g)
+        if not any(rows[v] for v in vertices):
             return ColoringResult(SearchStatus.FOUND, (0,) * g.n)
         return ColoringResult(SearchStatus.ABSENT, None)
     if r == 2:
@@ -734,7 +818,8 @@ def is_r_partite(
     col = _Colorer(g, r, node_cap)
     try:
         if col.extend():
-            return ColoringResult(SearchStatus.FOUND, tuple(col.colors), col.nodes)
+            coloring = tuple(col.colors[v] for v in col.vertices)
+            return ColoringResult(SearchStatus.FOUND, coloring, col.nodes)
         return ColoringResult(SearchStatus.ABSENT, None, col.nodes)
     except _CapHit:
         return ColoringResult(SearchStatus.BUDGET, None, col.nodes)

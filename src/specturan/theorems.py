@@ -56,6 +56,8 @@ from .subgraph import (
     SearchStatus,
     _class_pairs,
     _ClassPairs,
+    _InducedView,
+    _rows_of,
     book_size,
     clique_exists,
     count_cliques,
@@ -729,23 +731,21 @@ class StabilityWitness:
     min_degree: int  # delta of the induced subgraph on `vertices`
 
 
-def _conflict_peel_order(sub: Graph, members: list[int], r: int) -> int:
+def _conflict_peel_order(sub: Graph | _InducedView, r: int) -> int:
     """Vertex to evict: most monochromatic conflicts under a best-effort
-    greedy r-coloring of sub = G[members] (ties lowest index)."""
-    order = sorted(range(sub.n), key=lambda v: (-sub.degree(v), v))
-    colors = [-1] * sub.n
+    greedy r-coloring of sub (ties lowest index), named on the host's labels
+    when sub is an induced view."""
+    vertices, rows = _rows_of(sub)
+    order = sorted(vertices, key=lambda v: (-rows[v].bit_count(), v))
+    colors = [-1] * len(rows)
     classes = [0] * r  # bitset of the vertices colored so far, per color
     for v in order:
-        row = sub.neighbors_mask(v)
+        row = rows[v]
         counts = [(row & members_c).bit_count() for members_c in classes]
         c = counts.index(min(counts))
         colors[v] = c
         classes[c] |= 1 << v
-    conflicts = [
-        (sub.neighbors_mask(v) & classes[colors[v]]).bit_count() for v in range(sub.n)
-    ]
-    worst = max(range(sub.n), key=lambda v: (conflicts[v], -v))
-    return members[worst]
+    return max(vertices, key=lambda v: ((rows[v] & classes[colors[v]]).bit_count(), -v))
 
 
 def _degree_peel_order(
@@ -784,23 +784,31 @@ def find_stability_witness(
     Sound but incomplete: (witness, capped).  A None witness means "not
     found", never a refutation; capped=True flags a coloring-cap abort.
 
-    The graph is coloured once, in the peel loop.  The degree peel then
-    only removes vertices, and a proper colouring restricted to an induced
-    subgraph stays proper, so the survivors keep the loop's colours; they
-    are re-verified independently on their induced subgraph.
+    The peel runs on the host's rows: the members left form an
+    `_InducedView`, which `is_r_partite` colours and the conflict peel
+    reads, and an eviction clears one bit of its alive set, so no induced
+    subgraph is built per step.  An eviction that would leave fewer
+    members than `order_threshold` is not computed: the search ends
+    there, not found.  The graph is coloured once, in the peel loop.  The
+    degree peel then only removes vertices, and a proper colouring
+    restricted to an induced subgraph stays proper, so the survivors keep
+    the loop's colours.  The witness is re-verified independently on its
+    one freshly built induced subgraph, which also gives its minimum
+    degree.
     """
-    members = list(range(g.n))
+    if g.n < order_threshold:
+        return None, False
+    view = _InducedView(g, list(range(g.n)))
     while True:
-        if len(members) < order_threshold:
-            return None, False
-        sub = g.induced_subgraph(members)
-        res = is_r_partite(sub, r)
+        res = is_r_partite(view, r)
         if res.status is SearchStatus.BUDGET:
             return None, True
         if res.status is SearchStatus.FOUND:
             break
-        evict = _conflict_peel_order(sub, members, r)
-        members.remove(evict)
+        if view.n - 1 < order_threshold:
+            return None, False
+        view.evict(_conflict_peel_order(view, r))
+    members = view.members
     evicted = set(_degree_peel_order(g, members, degree_threshold))
     kept = [i for i, v in enumerate(members) if v not in evicted]
     if not kept or len(kept) < order_threshold:
@@ -808,13 +816,17 @@ def find_stability_witness(
     vertices = tuple(members[i] for i in kept)
     coloring = tuple(res.coloring[i] for i in kept)
     sub = g.induced_subgraph(vertices)
-    _verify_coloring(sub, coloring)
+    _verify_coloring(sub, coloring, r)
     return StabilityWitness(vertices, coloring, sub.min_degree()), False
 
 
-def _verify_coloring(g: Graph, coloring: Sequence[int]) -> None:
-    """Every vertex's row must miss its own color class; only a failure
-    walks the edges, to name the least monochromatic one."""
+def _verify_coloring(g: Graph, coloring: Sequence[int], r: int) -> None:
+    """Every colour must lie in 0..r-1, else the first vertex out of range
+    is named, and every vertex's row must miss its own color class; only
+    a failure walks the edges, to name the least monochromatic one."""
+    for v, c in enumerate(coloring):
+        if not 0 <= c < r:
+            raise AssertionError(f"vertex {v} has colour {c} outside 0..{r - 1}")
     classes: dict[int, int] = {}
     for v, c in enumerate(coloring):
         classes[c] = classes.get(c, 0) | (1 << v)

@@ -507,6 +507,69 @@ def reference_find_stability_witness(
     return tuple(members), min(sub.degrees()), False, len(evicted)
 
 
+def subgraph_conflict_peel_order(sub: Graph, members: list[int], r: int) -> int:
+    """The conflict eviction on sub = G[members], built for the step:
+    most monochromatic conflicts under a best-effort greedy r-colouring
+    (ties lowest index), named on G's labels."""
+    order = sorted(range(sub.n), key=lambda v: (-sub.degree(v), v))
+    colors = [-1] * sub.n
+    classes = [0] * r  # bitset of the vertices colored so far, per color
+    for v in order:
+        row = sub.neighbors_mask(v)
+        counts = [(row & members_c).bit_count() for members_c in classes]
+        c = counts.index(min(counts))
+        colors[v] = c
+        classes[c] |= 1 << v
+    conflicts = [
+        (sub.neighbors_mask(v) & classes[colors[v]]).bit_count() for v in range(sub.n)
+    ]
+    worst = max(range(sub.n), key=lambda v: (conflicts[v], -v))
+    return members[worst]
+
+
+def subgraph_stability_witness(
+    g: Graph, r: int, order_threshold: float, degree_threshold: float
+) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None, int | None, bool]:
+    """(vertices, colouring, min degree, capped) of the stability peel that
+    builds G[members] afresh at every step, colours it with
+    `is_r_partite` and evicts by `subgraph_conflict_peel_order`, then
+    peels by degree and keeps the loop's colours."""
+    from specturan.subgraph import SearchStatus, is_r_partite
+
+    members = list(range(g.n))
+    while True:
+        if len(members) < order_threshold:
+            return None, None, None, False
+        sub = g.induced_subgraph(members)
+        res = is_r_partite(sub, r)
+        if res.status is SearchStatus.BUDGET:
+            return None, None, None, True
+        if res.status is SearchStatus.FOUND:
+            break
+        members.remove(subgraph_conflict_peel_order(sub, members, r))
+    evicted = set(reference_degree_peel_order(g, members, degree_threshold))
+    kept = [i for i, v in enumerate(members) if v not in evicted]
+    if not kept or len(kept) < order_threshold:
+        return None, None, None, False
+    vertices = tuple(members[i] for i in kept)
+    coloring = tuple(res.coloring[i] for i in kept)
+    return vertices, coloring, g.induced_subgraph(vertices).min_degree(), False
+
+
+def reference_class_pairs_table(g: Graph) -> list[tuple[int, int, int]]:
+    """(-|row(u) & row(v)|, u, v) for every edge uv between twin-class
+    representatives u < v, one bitset AND per edge, sorted."""
+    reps = [(m & -m).bit_length() - 1 for m in reference_twin_classes(g).values()]
+    table = []
+    for i, u in enumerate(reps):
+        for v in reps[i + 1 :]:
+            if g.has_edge(u, v):
+                common = g.neighbors_mask(u) & g.neighbors_mask(v)
+                table.append((-common.bit_count(), u, v))
+    table.sort()
+    return table
+
+
 def reference_embedder_rows(g: Graph) -> list[int]:
     """The rows of G relabelled by descending degree (ties lowest index),
     built one bit at a time."""
@@ -592,11 +655,14 @@ def reference_backtrack_color(
         return "budget", None, col.nodes
 
 
-def reference_spectral_radius(g: Graph, tol: float = 1e-10):
+def reference_spectral_radius(g: Graph, tol: float = 1e-10, max_iter: int | None = None):
     """(value, residual, iterations, converged) by per-component power
     iteration on the full adjacency matrix: A + I for 100 steps, then
-    A + sI with s = max(1, m/k) for m edges on the component's k vertices."""
-    max_iter = 100 * g.n + 1000
+    A + sI with s = max(1, m/k) for m edges on the component's k vertices.
+    The residual is taken at every step; at most `max_iter` (default
+    100 n + 1000) steps per component."""
+    if max_iter is None:
+        max_iter = 100 * g.n + 1000
     if g.n == 0:
         return 0.0, 0.0, 0, True
     a_full = g.to_numpy()

@@ -353,6 +353,27 @@ class TestTwinQuotient:
             assert got == reference_spectral_radius(g)
         assert got[2] > spectral._SHIFT_STEP
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 99, 100, 101, 150])
+    def test_twin_free_bit_identical_at_each_cap(self, max_iter):
+        # The loop takes the residual only on a step whose Rayleigh quotient
+        # has settled, and on the step at the cap, whose residual it
+        # returns; the reference takes it on every step.  Paths need the
+        # shift and run past 150 steps, so they end at the cap.
+        hosts = [_path_union(a, b) for a, b in ((4, 0), (60, 0), (30, 31), (12, 50))]
+        rng = SplitMix64(229)
+        while len(hosts) < 40:
+            n = 4 + rng.below(40)
+            g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), rng.next_u64())
+            if len(g.twin_classes()) == n:
+                hosts.append(g)
+        outcomes = set()
+        for g in hosts:
+            est = spectral_radius(g, max_iter=max_iter)
+            got = (est.value, est.residual, est.iterations, est.converged)
+            assert got == reference_spectral_radius(g, max_iter=max_iter), g._adj
+            outcomes.add(est.converged)
+        assert outcomes == ({False} if max_iter <= 2 else {False, True})
+
     def test_twin_free_n7_class_representatives_bit_identical(self):
         checked = 0
         for g in _n7_class_graphs():

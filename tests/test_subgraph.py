@@ -32,8 +32,10 @@ from specturan.graph import (
 from specturan.rng import SplitMix64
 from specturan.subgraph import (
     DEFAULT_BUDGET,
+    DEFAULT_COLOR_CAP,
     Embedding,
     _Embedder,
+    _InducedView,
     _class_pairs,
     _edge_order,
     _greedy_colorable,
@@ -663,6 +665,45 @@ class TestBacktrackColorer:
             classes[c] |= 1 << v
         for v, c in enumerate(res.coloring):
             assert not g.neighbors_mask(v) & classes[c]
+
+
+class TestInducedView:
+    """`is_r_partite` on an `_InducedView` against the same call on the
+    induced subgraph built from its members: status, colouring and nodes,
+    with node caps small enough to end some searches on BUDGET."""
+
+    CAPS = (1, 3, 10, 50, DEFAULT_COLOR_CAP)
+
+    def test_matches_the_built_subgraph(self):
+        rng = SplitMix64(71)
+        seen = set()
+        for _ in range(600):
+            n = 2 + rng.below(30)
+            g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), rng.next_u64())
+            members = [v for v in range(n) if rng.below(4)] or [rng.below(n)]
+            r = 1 + rng.below(4)
+            cap = self.CAPS[rng.below(len(self.CAPS))]
+            got = is_r_partite(_InducedView(g, members), r, node_cap=cap)
+            assert got == is_r_partite(g.induced_subgraph(members), r, node_cap=cap)
+            seen.add((r >= 3, got.status))
+        assert seen == {(big, s) for big in (False, True) for s in SearchStatus} - {
+            (False, SearchStatus.BUDGET)
+        }
+
+    def test_evictions_track_the_built_subgraph(self):
+        # T_r(n)+e, which has r + 2 twin classes, and seeded G(n, m).
+        rng = SplitMix64(73)
+        hosts = [make_turan_plus_edge(n, r) for r in (2, 3, 4) for n in (9, 16)]
+        hosts += [random_gnm(n, n * (n - 1) // 3, rng.next_u64()) for n in (8, 14, 20)]
+        for g in hosts:
+            view = _InducedView(g, list(range(g.n)))
+            while view.n:
+                assert view.alive == sum(1 << v for v in view.members)
+                sub = g.induced_subgraph(view.members)
+                for r in (2, 3):
+                    cap = self.CAPS[rng.below(len(self.CAPS))]
+                    assert is_r_partite(view, r, cap) == is_r_partite(sub, r, cap)
+                view.evict(view.members[rng.below(view.n)])
 
 
 class TestTwoColor:

@@ -11,6 +11,7 @@ from oracles import (
     reference_conflict_peel_order,
     reference_degree_peel_order,
     reference_find_stability_witness,
+    subgraph_stability_witness,
     turan_neighbourhood_hosts,
 )
 from specturan.graph import (
@@ -24,7 +25,7 @@ from specturan.graph import (
 )
 from specturan.rng import SplitMix64
 from specturan.spectral import Verdict, compare_mu_to_threshold
-from specturan.subgraph import is_r_partite
+from specturan.subgraph import _InducedView, is_r_partite
 from specturan.theorems import (
     CHECKS,
     TheoremId,
@@ -401,30 +402,8 @@ class TestStabilityWitness:
             assert calls == want and peeled
 
     def test_one_colouring_matches_the_twice_coloured_reference(self):
-        # Hosts where the degree peel evicts: T_r(n) and T_r(n)+e with
-        # vertex 0 stripped of k cross edges, at a degree threshold just
-        # above its degree, and seeded G(n, m) at random thresholds, half of
-        # them near the minimum degree.
-        cases = []
-        for r in (2, 3, 4):
-            for n in (12, 20, 30):
-                for g in (make_turan(n, r), make_turan_plus_edge(n, r)):
-                    for k in (2, 3, 4):
-                        stripped = g
-                        for v in range(n - k, n):
-                            stripped = stripped.without_edge(0, v)
-                        cases.append((stripped, r, 0.5 * n, stripped.degree(0) + 0.5))
-        rng = SplitMix64(97)
-        for _ in range(400):
-            n = 2 + rng.below(17)
-            g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), rng.next_u64())
-            if rng.below(2):
-                degree = rng.below(4 * n) / 4 - 1
-            else:
-                degree = g.min_degree() + rng.below(5) / 2 - 0.5
-            cases.append((g, 2 + rng.below(3), rng.below(n + 1) / 2, degree))
         evicting = 0
-        for g, r, order, degree in cases:
+        for g, r, order, degree in _eviction_corpus():
             witness, capped = find_stability_witness(g, r, order, degree)
             vertices, min_degree, ref_capped, evicted = reference_find_stability_witness(
                 g, r, order, degree
@@ -436,9 +415,49 @@ class TestStabilityWitness:
             assert (witness.vertices, witness.min_degree) == (vertices, min_degree)
             assert len(witness.coloring) == len(vertices)
             assert set(witness.coloring) <= set(range(r))
-            _verify_coloring(g.induced_subgraph(vertices), witness.coloring)
+            _verify_coloring(g.induced_subgraph(vertices), witness.coloring, r)
             evicting += evicted > 0
         assert evicting >= 80
+
+    def test_view_peel_matches_the_subgraph_per_step_peel(self, monkeypatch):
+        # The eviction corpus, then for r = 2..4 seeded G(n, m) near
+        # e(T_r(n)), peeled deep, and T_r(n) overlaid with a seeded G(n, k),
+        # whose edges inside the parts the conflict peel must evict.
+        from specturan import theorems
+
+        cases = _eviction_corpus()
+        rng = SplitMix64(101)
+        for r in (2, 3, 4):
+            for _ in range(40):
+                n = r + 2 + rng.below(40)
+                m = min(turan_edge_count(n, r) + rng.below(2 * n), n * (n - 1) // 2)
+                g = random_gnm(n, m, rng.next_u64())
+                cases.append((g, r, rng.below(n) / 2, g.min_degree() + rng.below(5) / 2 - 1.5))
+                noise = random_gnm(n, 1 + rng.below(n), rng.next_u64())
+                g = Graph(n, [a | b for a, b in zip(make_turan(n, r)._adj, noise._adj)])
+                cases.append((g, r, (0.4 + rng.below(5) / 10) * n, rng.below(2 * n) / 4 - 1))
+        evictions: list[int] = []
+
+        def counted(*args):
+            evictions.append(1)
+            return _conflict_peel_order(*args)
+
+        monkeypatch.setattr(theorems, "_conflict_peel_order", counted)
+        found_after_evicting = 0
+        for g, r, order, degree in cases:
+            before = len(evictions)
+            witness, capped = find_stability_witness(g, r, order, degree)
+            vertices, coloring, min_degree, ref_capped = subgraph_stability_witness(
+                g, r, order, degree
+            )
+            assert capped == ref_capped
+            if witness is None:
+                assert vertices is None, (g, r, order, degree)
+                continue
+            got = (witness.vertices, witness.coloring, witness.min_degree)
+            assert got == (vertices, coloring, min_degree), (g, r, order, degree)
+            found_after_evicting += len(evictions) > before
+        assert found_after_evicting >= 80 and len(evictions) >= 2000
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_conflict_peel_matches_reference(self, r):
@@ -447,8 +466,8 @@ class TestStabilityWitness:
             n = 2 + rng.below(15)
             g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), rng.next_u64())
             members = [v for v in range(n) if rng.below(4)] or [rng.below(n)]
-            sub = g.induced_subgraph(members)
-            assert _conflict_peel_order(sub, members, r) == reference_conflict_peel_order(
+            view = _InducedView(g, members)
+            assert _conflict_peel_order(view, r) == reference_conflict_peel_order(
                 g, members, r
             )
 
@@ -468,13 +487,26 @@ class TestStabilityWitness:
     def test_verify_coloring_names_least_monochromatic_edge(self):
         g = make_turan(10, 2)
         proper = [0] * 5 + [1] * 5
-        _verify_coloring(g, proper)
+        _verify_coloring(g, proper, 2)
         for v, first_edge in ((7, "(0,7)"), (3, "(3,5)")):
             corrupted = list(proper)
             corrupted[v] ^= 1
             with pytest.raises(AssertionError) as err:
-                _verify_coloring(g, corrupted)
+                _verify_coloring(g, corrupted, 2)
             assert str(err.value) == f"coloring not proper on edge {first_edge}"
+
+    def test_verify_coloring_names_first_colour_outside_r(self):
+        # A proper colouring with r + 1 colours is not induced r-partite.
+        g = make_turan(9, 3)
+        proper = [0] * 3 + [1] * 3 + [2] * 3
+        _verify_coloring(g, proper, 3)
+        with pytest.raises(AssertionError) as err:
+            _verify_coloring(g, proper, 2)
+        assert str(err.value) == "vertex 6 has colour 2 outside 0..1"
+        for bad in (3, -1):
+            with pytest.raises(AssertionError) as err:
+                _verify_coloring(g, proper[:4] + [bad] + proper[5:], 3)
+            assert str(err.value) == f"vertex 4 has colour {bad} outside 0..2"
 
     def test_verify_coloring_on_random_colorings(self):
         rng = SplitMix64(89)
@@ -484,11 +516,37 @@ class TestStabilityWitness:
             coloring = [rng.below(3) for _ in range(n)]
             bad = [(u, v) for u, v in g.edges() if coloring[u] == coloring[v]]
             if not bad:
-                _verify_coloring(g, coloring)
+                _verify_coloring(g, coloring, 3)
                 continue
             with pytest.raises(AssertionError) as err:
-                _verify_coloring(g, coloring)
+                _verify_coloring(g, coloring, 3)
             assert str(err.value) == f"coloring not proper on edge ({bad[0][0]},{bad[0][1]})"
+
+
+def _eviction_corpus():
+    """(host, r, order threshold, degree threshold) where the degree peel
+    evicts: T_r(n) and T_r(n)+e with vertex 0 stripped of k cross edges, at
+    a degree threshold just above its degree, and seeded G(n, m) at random
+    thresholds, half of them near the minimum degree."""
+    cases = []
+    for r in (2, 3, 4):
+        for n in (12, 20, 30):
+            for g in (make_turan(n, r), make_turan_plus_edge(n, r)):
+                for k in (2, 3, 4):
+                    stripped = g
+                    for v in range(n - k, n):
+                        stripped = stripped.without_edge(0, v)
+                    cases.append((stripped, r, 0.5 * n, stripped.degree(0) + 0.5))
+    rng = SplitMix64(97)
+    for _ in range(400):
+        n = 2 + rng.below(17)
+        g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), rng.next_u64())
+        if rng.below(2):
+            degree = rng.below(4 * n) / 4 - 1
+        else:
+            degree = g.min_degree() + rng.below(5) / 2 - 0.5
+        cases.append((g, 2 + rng.below(3), rng.below(n + 1) / 2, degree))
+    return cases
 
 
 class TestCappedColouring:

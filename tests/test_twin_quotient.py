@@ -4,6 +4,7 @@ counts weighted by class size, pinned against the full-vertex references
 in `oracles` on shuffled twin blow-ups."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from oracles import (
     listed_cliques,
     reference_book_size,
     reference_check_well_formed,
+    reference_class_pairs_table,
     reference_clique_exists,
     reference_twin_classes,
     shuffled_twin_blowup,
@@ -33,7 +35,10 @@ from specturan.graph import (
     read_edge_list,
     write_edge_list,
 )
+from specturan import subgraph
+from specturan.rng import SplitMix64
 from specturan.subgraph import (
+    _class_pairs,
     _greedy_colorable,
     book_size,
     clique_exists,
@@ -211,6 +216,43 @@ class TestWeightedCounts:
             assert count_cliques(g, q) == count_cliques(h, q)
         for q in range(2, 7):
             assert joint_size(g, q).size == joint_size(h, q).size
+
+
+class TestClassPairTable:
+    """`_class_pairs` against the per-edge double loop of `oracles`, with
+    the default popcount blocks and with blocks of one row and of three."""
+
+    @staticmethod
+    def _assert_table(g: Graph) -> None:
+        want = reference_class_pairs_table(g)
+        table = _class_pairs(g).table
+        assert table == want, g._adj
+        assert all(type(x) is int for entry in table for x in entry)
+        row_bytes = len(g.twin_classes()) * 8 * ((g.n + 63) // 64)
+        for block_bytes in (1, 3 * row_bytes):
+            with mock.patch.object(subgraph, "_POPCOUNT_BLOCK_BYTES", block_bytes):
+                assert _class_pairs(g).table == want, (g._adj, block_bytes)
+
+    @given(blowups())
+    @BLOWUP_SETTINGS
+    def test_shuffled_blowups(self, case):
+        rows, _ = case
+        self._assert_table(Graph(len(rows), rows))
+
+    def test_turan_hosts(self):
+        for r in (2, 3, 4):
+            for n in (r, r + 1, 10, 63, 64, 65, 129, 200):
+                self._assert_table(make_turan(n, r))
+                if n >= 2 * r:
+                    self._assert_table(make_turan_plus_edge(n, r))
+
+    def test_random_hosts_up_to_300(self):
+        self._assert_table(Graph(0))
+        rng = SplitMix64(0xC1A55)
+        for n in (1, 2, 5, 30, 63, 64, 65, 127, 128, 129, 200, 300):
+            full = n * (n - 1) // 2
+            for m in (0, full // 2, full * 2 // 3, full):
+                self._assert_table(random_gnm(n, m, rng.next_u64()))
 
 
 def _assert_stored_form(g: Graph) -> None:
